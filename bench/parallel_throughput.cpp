@@ -12,9 +12,10 @@
  * The random-access rows exercise the AtcIndex/AtcCursor API on the
  * lossless v3 container: `random_seek` measures seek + short-read
  * latency at scattered offsets (reported as records/s over the reads;
- * first-touch cost is the containing-frame decode, repeats hit the
- * index's shared decoded-block cache), `seek_hot` revisits a small
- * cache-resident working set (steady state decodes nothing — the
+ * first-touch cost is the containing transform buffer's decode, repeats
+ * are a copy out of the index's shared decoded-record cache),
+ * `seek_hot` revisits a small cache-resident working set (steady state
+ * runs neither a codec decode nor an inverse transform — the
  * shared-cache headline), and `ranged_decode` measures readRange()
  * throughput over scattered 5% slices with the frame decodes fanned
  * out on the pool (this one should scale).
@@ -334,7 +335,7 @@ main(int argc, char **argv)
                         base_seek / s});
 
         // Hot-seek latency: revisit a small working set of offsets
-        // whose covering frames fit the index's shared decoded-block
+        // whose transform buffers fit the index's shared decoded-record
         // cache — after the first round every seek should decode
         // nothing (asserted by test via the decode-counting codec) and
         // the number reflects pure locate+copy cost.
@@ -584,7 +585,7 @@ main(int argc, char **argv)
             w.write(corpus.data(), corpus.size());
             w.close();
         }
-        // No decoded-block cache: the byte counters must reflect what
+        // No decoded-record cache: the byte counters must reflect what
         // each pass truly decodes, not what the other left behind.
         core::IndexOptions iopt;
         iopt.cache_bytes = 0;

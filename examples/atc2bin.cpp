@@ -20,9 +20,9 @@
  *         be in increasing order and non-overlapping. Malformed,
  *         overlapping or out-of-range specs are rejected up front.
  *   --cache BYTES[k|m|g]
- *         budget of the shared decoded-block cache backing seeks and
+ *         budget of the shared decoded-record cache backing seeks and
  *         ranges (default 256m, 0 disables); repeated --range specs
- *         over one working set decode each covering frame/chunk once
+ *         over one working set decode each covering buffer/chunk once
  *   --io {mmap,stdio}
  *         chunk-file read path: mmap maps regular files and decodes
  *         borrowed bytes zero-copy (default), stdio forces the

@@ -141,7 +141,7 @@ main(int argc, char **argv)
         }
 
         // Decode a prefix to prove the container is readable — through
-        // cursor->readRange, which reads via the shared decoded-block
+        // cursor->readRange, which reads via the shared decoded-record
         // cache (the sequential path deliberately bypasses it).
         uint64_t probe_n = std::min<uint64_t>(1000, reader->count());
         std::vector<uint64_t> probe_buf;
@@ -152,7 +152,7 @@ main(int argc, char **argv)
         std::printf("probe:      first %zu addresses decode OK\n",
                     probe_buf.size());
 
-        // The probe populated the index's shared decoded-block cache
+        // The probe populated the index's shared decoded-record cache
         // and exercised the instrumented decode path. With --metrics
         // the whole registry snapshot goes out in the shared text
         // encoding (the same bytes the serve METRICS op returns);
@@ -165,7 +165,9 @@ main(int argc, char **argv)
                             obs::Registry::global().snapshot())
                             .c_str());
         } else {
-            core::BlockCacheStats cs = reader->index()->cacheStats();
+            const core::BlockCache<uint64_t> &cache =
+                reader->index()->cache();
+            core::BlockCacheStats cs = cache.stats();
             std::printf("cache:      %llu hit%s, %llu miss%s, "
                         "%llu/%llu bytes in %llu entr%s\n",
                         static_cast<unsigned long long>(cs.hits),
@@ -174,12 +176,7 @@ main(int argc, char **argv)
                         cs.misses == 1 ? "" : "es",
                         static_cast<unsigned long long>(cs.bytes),
                         static_cast<unsigned long long>(
-                            reader->index()->info().mode ==
-                                    core::Mode::Lossy
-                                ? reader->index()->chunkCache()
-                                      .capacityBytes()
-                                : reader->index()->frameCache()
-                                      .capacityBytes()),
+                            cache.capacityBytes()),
                         static_cast<unsigned long long>(cs.entries),
                         cs.entries == 1 ? "y" : "ies");
         }

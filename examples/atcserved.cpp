@@ -6,14 +6,14 @@
  * binary protocol (docs/protocol.md). Each NAME=DIR argument maps a
  * wire-visible container name to a container directory; clients OPEN
  * by name and then SEEK / READ_RANGE records through shared
- * decoded-block caches.
+ * decoded-record caches.
  *
  * Usage: atcserved [options] NAME=DIR [NAME=DIR ...]
  *   --port N         listen port (default 0 = kernel-assigned)
  *   --port-file PATH write the bound port to PATH (for scripts that
  *                    start with --port 0)
  *   --threads N      worker threads (default: hardware concurrency)
- *   --cache BYTES    global decoded-block cache budget, split evenly
+ *   --cache BYTES    global decoded-record cache budget, split evenly
  *                    across containers
  *   --max-inflight N heavy requests one client may have executing
  *   --max-range N    per-request record ceiling (kTooLarge beyond it)

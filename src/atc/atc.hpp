@@ -153,9 +153,10 @@ class AtcReader : public trace::TraceSource
      *        holding the reader's index() or cursors minted from it
      *        (directory-opened readers have no such caveat: their
      *        index owns the store)
-     * @param cache_bytes budget of the index's shared decoded-block
-     *        cache (decoded frames in lossless v3, decompressed chunks
-     *        in lossy mode; 0 disables it) — see IndexOptions
+     * @param cache_bytes budget of the index's shared decoded-record
+     *        cache (decoded transform buffers in lossless v3,
+     *        decompressed chunks in lossy mode; 0 disables it) — see
+     *        IndexOptions
      * @throws util::Error on missing/corrupt INFO
      */
     explicit AtcReader(ChunkStore &store,

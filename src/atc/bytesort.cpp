@@ -1,6 +1,7 @@
 #include "atc/bytesort.hpp"
 
 #include <cstring>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "util/status.hpp"
@@ -233,8 +234,43 @@ TransformEncoder::finish()
     finished_ = true;
 }
 
-TransformDecoder::TransformDecoder(Transform transform, util::ByteSource &in)
-    : transform_(transform), in_(in)
+std::vector<uint64_t>
+inverseTransform(Transform transform, const uint8_t *bytes, size_t n)
+{
+    TransformMetrics &m = transformMetrics();
+    m.decode_buffers.inc();
+    if (transform == Transform::None) {
+        // No transform: the LE deserialization is I/O, not compute.
+        std::vector<uint64_t> addrs(n, 0);
+        for (size_t i = 0; i < n; ++i)
+            for (int k = 0; k < 8; ++k)
+                addrs[i] |= static_cast<uint64_t>(bytes[8 * i + k])
+                            << (8 * k);
+        return addrs;
+    }
+    obs::StageTimer t(m.decode_us);
+    switch (transform) {
+      case Transform::Unshuffle:
+        return unshuffleInverse(bytes, n);
+      case Transform::Bytesort:
+        return bytesortInverse(bytes, n);
+      case Transform::Delta: {
+          std::vector<uint64_t> addrs = unshuffleInverse(bytes, n);
+          uint64_t prev = 0;
+          for (uint64_t &a : addrs) {
+              a += prev;
+              prev = a;
+          }
+          return addrs;
+      }
+      default:
+        util::raise("corrupt ATC transform id");
+    }
+}
+
+TransformDecoder::TransformDecoder(Transform transform, util::ByteSource &in,
+                                   uint64_t max_addrs)
+    : transform_(transform), in_(in), max_addrs_(max_addrs)
 {
 }
 
@@ -261,37 +297,15 @@ TransformDecoder::refill()
         done_ = true;
         return false;
     }
-
-    TransformMetrics &m = transformMetrics();
-    m.decode_buffers.inc();
-    if (transform_ == Transform::None) {
-        buffer_.resize(n);
-        for (uint64_t &a : buffer_)
-            a = util::readLE<uint64_t>(in_);
-    } else {
-        std::vector<uint8_t> planes(8 * n);
-        in_.readExact(planes.data(), planes.size());
-        obs::StageTimer t(m.decode_us);
-        switch (transform_) {
-          case Transform::Unshuffle:
-            buffer_ = unshuffleInverse(planes.data(), n);
-            break;
-          case Transform::Bytesort:
-            buffer_ = bytesortInverse(planes.data(), n);
-            break;
-          case Transform::Delta: {
-              buffer_ = unshuffleInverse(planes.data(), n);
-              uint64_t prev = 0;
-              for (uint64_t &a : buffer_) {
-                  a += prev;
-                  prev = a;
-              }
-              break;
-          }
-          default:
-            ATC_ASSERT(false && "unreachable transform");
-        }
-    }
+    // Bound before allocating: an unchecked varint would turn a flipped
+    // header byte into a multi-exabyte allocation.
+    ATC_CHECK(n <= max_addrs_,
+              "corrupt bytesort frame header: buffer of " +
+                  std::to_string(n) + " addresses exceeds the stream's " +
+                  std::to_string(max_addrs_));
+    std::vector<uint8_t> bytes(8 * n);
+    in_.readExact(bytes.data(), bytes.size());
+    buffer_ = inverseTransform(transform_, bytes.data(), n);
     pos_ = 0;
     return true;
 }

@@ -57,6 +57,15 @@ std::vector<uint8_t> unshuffleForward(const uint64_t *addrs, size_t n);
 std::vector<uint64_t> unshuffleInverse(const uint8_t *bytes, size_t n);
 
 /**
+ * Invert one framed buffer: @p bytes holds the 8*n bytes that follow
+ * the buffer's varint(n) under @p transform. The one inverse used by
+ * the streaming decoder and the random-access buffer decode, so both
+ * count into atc.transform.decode_us / decode_buffers.
+ */
+std::vector<uint64_t> inverseTransform(Transform transform,
+                                       const uint8_t *bytes, size_t n);
+
+/**
  * Streaming encoder: buffers addresses and emits framed, transformed
  * buffers into a byte sink (typically a StreamCompressor).
  */
@@ -101,8 +110,12 @@ class TransformDecoder
     /**
      * @param transform transform used when encoding
      * @param in        source byte stream
+     * @param max_addrs the encoder's buffer capacity B; a buffer
+     *                  header declaring more addresses is corrupt and
+     *                  rejected before anything is allocated
      */
-    TransformDecoder(Transform transform, util::ByteSource &in);
+    TransformDecoder(Transform transform, util::ByteSource &in,
+                     uint64_t max_addrs);
 
     /**
      * Produce up to @p n addresses — the primary (hot-path) entry.
@@ -122,6 +135,7 @@ class TransformDecoder
 
     Transform transform_;
     util::ByteSource &in_;
+    uint64_t max_addrs_;
     std::vector<uint64_t> buffer_;
     size_t pos_ = 0;
     bool done_ = false;

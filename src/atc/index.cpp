@@ -30,63 +30,6 @@ expectedRawBytes(uint64_t count, uint64_t buffer_addrs)
     return bytes + 1;
 }
 
-/**
- * Serves the decompressed bytes of frames [first, frames.size()) of a
- * scanned Seekable stream, one frame at a time, through the index's
- * shared decoded-frame cache: a cached frame is served without
- * touching its payload (the underlying source just skips it), a miss
- * decodes-and-inserts, so a working set of seek targets stays
- * decode-free across every cursor sharing the index. @p src must be
- * positioned at frame @p first's header (comp_starts[first]).
- */
-class FrameStreamSource : public util::ByteSource
-{
-  public:
-    FrameStreamSource(const AtcIndex &index, uint32_t chunk_id,
-                      std::unique_ptr<util::ByteSource> src, size_t first)
-        : index_(index), chunk_id_(chunk_id), src_(std::move(src)),
-          next_(first)
-    {}
-
-    size_t
-    read(uint8_t *data, size_t n) override
-    {
-        size_t got = 0;
-        while (got < n) {
-            if (!block_ || pos_ == block_->size()) {
-                if (!refill())
-                    break;
-                continue;
-            }
-            size_t avail = block_->size() - pos_;
-            size_t take = (n - got) < avail ? (n - got) : avail;
-            std::memcpy(data + got, block_->data() + pos_, take);
-            got += take;
-            pos_ += take;
-        }
-        return got;
-    }
-
-  private:
-    bool
-    refill()
-    {
-        if (next_ >= index_.chunkLayout(chunk_id_)->frames.size())
-            return false;
-        block_ = index_.decodedFrame(chunk_id_, next_, *src_);
-        ++next_;
-        pos_ = 0;
-        return true;
-    }
-
-    const AtcIndex &index_;
-    uint32_t chunk_id_;
-    std::unique_ptr<util::ByteSource> src_;
-    size_t next_;
-    BlockCache<uint8_t>::Ptr block_;
-    size_t pos_ = 0;
-};
-
 /** @return the interval record containing record offset @p rec. */
 size_t
 recordContaining(const std::vector<uint64_t> &starts, uint64_t rec)
@@ -129,29 +72,15 @@ fillRecords(ReadFn &&read, std::vector<uint64_t> &out, const char *what)
 
 } // namespace
 
-namespace {
-
-/** Frames are many and small (a codec block each) — shard for
- *  concurrency; chunks are few and large (interval_len * 8 bytes) and
- *  touched once per interval switch — a single shard avoids budget
- *  fragmentation entirely and makes the readRange prefetch planner's
- *  whole-budget arithmetic exact. */
-constexpr size_t kFrameCacheShards = 8;
-constexpr size_t kChunkCacheShards = 1;
-
-} // namespace
-
 AtcIndex::AtcIndex(ChunkStore &store, const IndexOptions &iopt)
-    : store_(&store), frame_cache_(iopt.cache_bytes, kFrameCacheShards),
-      chunk_cache_(iopt.cache_bytes, kChunkCacheShards)
+    : store_(&store), cache_(iopt.cache_bytes)
 {
 }
 
 AtcIndex::AtcIndex(std::unique_ptr<ChunkStore> owned,
                    const IndexOptions &iopt)
     : owned_store_(std::move(owned)), store_(owned_store_.get()),
-      frame_cache_(iopt.cache_bytes, kFrameCacheShards),
-      chunk_cache_(iopt.cache_bytes, kChunkCacheShards)
+      cache_(iopt.cache_bytes)
 {
 }
 
@@ -296,21 +225,6 @@ AtcIndex::chunkLayout(uint32_t id) const
     return &layouts_[id];
 }
 
-BlockCache<uint8_t>::Ptr
-AtcIndex::decodedFrame(uint32_t chunk_id, size_t f,
-                       util::ByteSource &src) const
-{
-    const comp::StreamLayout &layout = layouts_[chunk_id];
-    ATC_ASSERT(f < layout.frames.size());
-    uint64_t key = BlockCache<uint8_t>::frameKey(chunk_id, f);
-    if (BlockCache<uint8_t>::Ptr hit = frame_cache_.get(key)) {
-        src.skip(layout.comp_starts[f + 1] - layout.comp_starts[f]);
-        return hit;
-    }
-    return frame_cache_.put(
-        key, comp::decodeIndexedFrame(*codec_.codec, src, layout, f));
-}
-
 uint64_t
 AtcIndex::bufferOf(uint64_t rec) const
 {
@@ -332,6 +246,141 @@ AtcIndex::bufferRawOffset(uint64_t b) const
     return b * (util::varintLen(buffer) + 8 * buffer);
 }
 
+uint64_t
+AtcIndex::bufferRawEnd(uint64_t b) const
+{
+    uint64_t len = bufferLen(b);
+    uint64_t end = bufferRawOffset(b) + util::varintLen(len) + 8 * len;
+    ATC_CHECK(end <= layouts_[0].rawTotal(),
+              "container truncated: transform buffer " + std::to_string(b) +
+                  " lies past the indexed frames");
+    return end;
+}
+
+std::vector<uint8_t>
+AtcIndex::decodeFrameSpan(size_t fa, size_t fz, parallel::ThreadPool *pool,
+                          FrameCarry *carry) const
+{
+    const comp::StreamLayout &layout = layouts_[0];
+    std::vector<uint8_t> raw;
+    raw.reserve(static_cast<size_t>(layout.raw_starts[fz + 1] -
+                                    layout.raw_starts[fa]));
+    std::vector<uint8_t> block;
+    size_t f = fa;
+    if (carry != nullptr && carry->frame == fa) {
+        block = std::move(carry->bytes);
+        carry->frame = SIZE_MAX;
+        raw.insert(raw.end(), block.begin(), block.end());
+        ++f;
+    }
+
+    // Payloads are fetched serially — zero-copy on mapped chunks, the
+    // FramePayload's keepalive pinning the mapping — and decoded inline
+    // or, with a pool, as tasks whose futures resolve in frame order.
+    const comp::Codec &codec = *codec_.codec;
+    std::deque<std::future<std::vector<uint8_t>>> pending;
+    std::unique_ptr<util::ByteSource> src;
+    if (f <= fz) {
+        src = store_->openChunk(0);
+        src->skip(layout.comp_starts[f]);
+    }
+    try {
+        for (; f <= fz; ++f) {
+            comp::FramePayload payload =
+                comp::fetchIndexedFramePayload(*src, layout, f);
+            size_t raw_size = static_cast<size_t>(layout.frames[f].raw_size);
+            if (pool == nullptr) {
+                comp::decodeSeekableFrame(codec, payload.data, payload.size,
+                                          raw_size, block);
+                raw.insert(raw.end(), block.begin(), block.end());
+                continue;
+            }
+            pending.push_back(pool->async(
+                [c = codec_.codec, raw_size, payload = std::move(payload)] {
+                    std::vector<uint8_t> out;
+                    comp::decodeSeekableFrame(*c, payload.data, payload.size,
+                                              raw_size, out);
+                    return out;
+                }));
+        }
+    } catch (...) {
+        // Queued tasks borrow memory-store payloads: drain them before
+        // the error unwinds past the store's owner.
+        for (auto &p : pending)
+            p.wait();
+        throw;
+    }
+    std::exception_ptr error;
+    for (auto &p : pending) {
+        try {
+            block = p.get();
+            raw.insert(raw.end(), block.begin(), block.end());
+        } catch (...) {
+            if (!error)
+                error = std::current_exception();
+        }
+    }
+    if (error)
+        std::rethrow_exception(error);
+    if (carry != nullptr) {
+        carry->frame = fz;
+        carry->bytes = std::move(block);
+    }
+    return raw;
+}
+
+std::vector<BlockCache<uint64_t>::Ptr>
+AtcIndex::decodedBuffers(uint64_t b0, uint64_t b1, parallel::ThreadPool *pool,
+                         FrameCarry *carry) const
+{
+    ATC_CHECK(!layouts_.empty() && info_.mode == Mode::Lossless,
+              "buffer decode needs a seekable (v3) lossless container");
+    const comp::StreamLayout &layout = layouts_[0];
+    auto firstFrame = [&](uint64_t b) {
+        return layout.frameContaining(bufferRawOffset(b));
+    };
+    auto lastFrame = [&](uint64_t b) {
+        return layout.frameContaining(bufferRawEnd(b) - 1);
+    };
+
+    std::vector<BlockCache<uint64_t>::Ptr> units(b1 - b0 + 1);
+    std::vector<uint64_t> missing;
+    for (uint64_t b = b0; b <= b1; ++b)
+        if (!(units[b - b0] = cache_.get(b)))
+            missing.push_back(b);
+
+    // Misses decode in runs: consecutive buffers, and buffers whose
+    // covering frames meet across a resident one, share a single pass
+    // over their frames, so a boundary frame is never decoded twice.
+    for (size_t i = 0; i < missing.size();) {
+        size_t j = i + 1;
+        while (j < missing.size() &&
+               (missing[j] == missing[j - 1] + 1 ||
+                firstFrame(missing[j]) <= lastFrame(missing[j - 1])))
+            ++j;
+        size_t fa = firstFrame(missing[i]);
+        std::vector<uint8_t> raw =
+            decodeFrameSpan(fa, lastFrame(missing[j - 1]), pool, carry);
+        for (; i < j; ++i) {
+            uint64_t b = missing[i];
+            size_t off =
+                static_cast<size_t>(bufferRawOffset(b) - layout.raw_starts[fa]);
+            util::MemorySource header(raw.data() + off, raw.size() - off);
+            uint64_t n = util::readVarint(header);
+            ATC_CHECK(n == bufferLen(b),
+                      "corrupt container: transform buffer " +
+                          std::to_string(b) + " declares " +
+                          std::to_string(n) + " records, expected " +
+                          std::to_string(bufferLen(b)));
+            units[b - b0] = cache_.put(
+                b, inverseTransform(info_.pipeline.transform,
+                                    raw.data() + off + util::varintLen(n),
+                                    static_cast<size_t>(n)));
+        }
+    }
+    return units;
+}
+
 AtcCursor::AtcCursor(std::shared_ptr<const AtcIndex> index,
                      const CursorOptions &copt)
     : index_(std::move(index)), pool_(copt.pool)
@@ -348,7 +397,7 @@ AtcCursor::AtcCursor(std::shared_ptr<const AtcIndex> index,
         // cache, so a working set warmed by any of them serves all.
         lossy_ = std::make_unique<LossyDecoder>(params, index_->store(),
                                                 &info.records,
-                                                &index_->chunkCache());
+                                                &index_->cache());
     }
 }
 
@@ -361,8 +410,7 @@ AtcCursor::resetSequential()
     // cursor that never seeks (or re-seeks to 0) keeps the full
     // sequential behavior — including CRC-trailer verification, which
     // a mid-stream seek necessarily forfeits.
-    transform_.reset();
-    frame_src_.reset();
+    unit_.reset();
     sequential_.reset();
     chunk_src_ = index_->store().openChunk(0);
     sequential_ = std::make_unique<LosslessReader>(
@@ -378,8 +426,8 @@ AtcCursor::readImpl(uint64_t *out, size_t n)
         got = lossy_->read(out, n);
     else if (sequential_)
         got = sequential_->read(out, n);
-    else if (transform_)
-        got = transform_->read(out, n);
+    else if (unit_)
+        got = readUnits(out, n);
     pos_ += got;
     // A clean end before the INFO-recorded count means chunk data is
     // missing — fail loudly rather than return a shortened trace.
@@ -389,6 +437,27 @@ AtcCursor::readImpl(uint64_t *out, size_t n)
                       std::to_string(index_->size()) +
                       " values but only " + std::to_string(pos_) +
                       " could be decoded");
+    return got;
+}
+
+size_t
+AtcCursor::readUnits(uint64_t *out, size_t n)
+{
+    size_t got = 0;
+    while (got < n) {
+        if (unit_off_ == unit_->size()) {
+            if (pos_ + got == index_->size())
+                break;
+            unit_ = index_->decodedBuffer(unit_b_ + 1, pool_, &carry_);
+            ++unit_b_;
+            unit_off_ = 0;
+        }
+        size_t take = std::min(n - got, unit_->size() - unit_off_);
+        std::memcpy(out + got, unit_->data() + unit_off_,
+                    take * sizeof(uint64_t));
+        got += take;
+        unit_off_ += take;
+    }
     return got;
 }
 
@@ -433,41 +502,21 @@ AtcCursor::seekLossless(uint64_t rec)
         resetSequential();
         return;
     }
-    if (rec == index_->size()) {
-        // Positioned at end: nothing left to decode.
-        transform_.reset();
-        frame_src_.reset();
-        sequential_.reset();
-        chunk_src_.reset();
-        pos_ = rec;
-        return;
-    }
-
-    // Record -> containing transform buffer -> raw byte offset ->
-    // containing frame (binary search) -> compressed byte offset.
-    // Only the frames from there on are ever decoded.
-    const comp::StreamLayout &layout = *index_->chunkLayout(0);
+    // Record -> containing transform buffer, decoded (or found) whole
+    // through the shared cache; the target is an offset inside it.
+    // Nothing changes until the buffer is in hand, so a failed seek
+    // leaves the cursor where it was.
+    BlockCache<uint64_t>::Ptr unit;
     uint64_t b = index_->bufferOf(rec);
-    uint64_t raw_off = index_->bufferRawOffset(b);
-    ATC_CHECK(raw_off < layout.rawTotal(),
-              "container truncated: record " + std::to_string(rec) +
-                  " lies past the indexed frames");
-    size_t f = layout.frameContaining(raw_off);
-
-    auto src = index_->store().openChunk(0);
-    src->skip(layout.comp_starts[f]);
-    auto frames = std::make_unique<FrameStreamSource>(
-        *index_, 0, std::move(src), f);
-    // Discard the tail of the frame that precedes the buffer start,
-    // then the records that precede the target inside its buffer.
-    frames->skip(raw_off - layout.raw_starts[f]);
+    if (rec < index_->size())
+        unit = index_->decodedBuffer(b, pool_, &carry_);
     sequential_.reset();
     chunk_src_.reset();
-    transform_ = std::make_unique<TransformDecoder>(
-        index_->info().pipeline.transform, *frames);
-    frame_src_ = std::move(frames);
-    pos_ = b * index_->info().pipeline.buffer_addrs;
-    skipRecords(rec - pos_);
+    unit_ = std::move(unit); // null at end: nothing left to decode
+    unit_b_ = b;
+    unit_off_ = static_cast<size_t>(
+        rec - b * index_->info().pipeline.buffer_addrs);
+    pos_ = rec;
 }
 
 void
@@ -498,82 +547,6 @@ AtcCursor::seekLossy(uint64_t rec)
     pos_ = starts[i];
 }
 
-std::vector<uint8_t>
-AtcCursor::decodeFrames(size_t first, size_t last)
-{
-    const comp::StreamLayout &layout = *index_->chunkLayout(0);
-    auto src = index_->store().openChunk(0);
-    src->skip(layout.comp_starts[first]);
-
-    // Every frame resolves through the shared cache: hits are served
-    // in place (payload skipped), misses decode — on the pool when one
-    // is borrowed — and are inserted so the next range or seek over
-    // the same region decodes nothing.
-    std::vector<uint8_t> out;
-    out.reserve(static_cast<size_t>(layout.raw_starts[last + 1] -
-                                    layout.raw_starts[first]));
-    if (pool_ == nullptr) {
-        // Serial: append frame by frame; a block is released as soon
-        // as it is copied out, so peak memory stays out + one frame
-        // (plus whatever the cache itself retains, which is bounded).
-        for (size_t f = first; f <= last; ++f) {
-            BlockCache<uint8_t>::Ptr block =
-                index_->decodedFrame(0, f, *src);
-            out.insert(out.end(), block->begin(), block->end());
-        }
-        return out;
-    }
-    std::vector<BlockCache<uint8_t>::Ptr> blocks(last - first + 1);
-    {
-        // Fan only the misses out: the compressed bytes are read
-        // serially (cheap), the per-frame codec decode — the dominant
-        // cost — runs in the pool, and the futures resolve in
-        // submission order for in-order reassembly.
-        struct Pending
-        {
-            size_t slot;
-            uint64_t key;
-            std::future<std::vector<uint8_t>> decoded;
-        };
-        BlockCache<uint8_t> &cache = index_->frameCache();
-        std::shared_ptr<const comp::Codec> codec = index_->codec().codec;
-        std::deque<Pending> pending;
-        for (size_t f = first; f <= last; ++f) {
-            uint64_t key = BlockCache<uint8_t>::frameKey(0, f);
-            if (BlockCache<uint8_t>::Ptr hit = cache.get(key)) {
-                src->skip(layout.comp_starts[f + 1] -
-                          layout.comp_starts[f]);
-                blocks[f - first] = std::move(hit);
-                continue;
-            }
-            // Zero-copy on mapped chunks: the payload borrows the
-            // mapping (pinned by the FramePayload's keepalive), so the
-            // pooled task decodes straight off the page cache.
-            comp::FramePayload payload =
-                comp::fetchIndexedFramePayload(*src, layout, f);
-            size_t raw_size =
-                static_cast<size_t>(layout.frames[f].raw_size);
-            pending.push_back(
-                {f - first, key,
-                 pool_->async([codec, raw_size,
-                               payload = std::move(payload)]() {
-                     std::vector<uint8_t> block;
-                     comp::decodeSeekableFrame(*codec, payload.data,
-                                               payload.size, raw_size,
-                                               block);
-                     return block;
-                 })});
-        }
-        for (Pending &p : pending)
-            blocks[p.slot] = cache.put(p.key, p.decoded.get());
-    }
-    for (BlockCache<uint8_t>::Ptr &block : blocks) {
-        out.insert(out.end(), block->begin(), block->end());
-        block.reset(); // release as copied — bound peak memory
-    }
-    return out;
-}
-
 void
 AtcCursor::rangeLossless(uint64_t begin, uint64_t end,
                          std::vector<uint64_t> &out)
@@ -581,8 +554,7 @@ AtcCursor::rangeLossless(uint64_t begin, uint64_t end,
     const ContainerInfo &info = index_->info();
     uint64_t want = end - begin;
 
-    const comp::StreamLayout *layout = index_->chunkLayout(0);
-    if (layout == nullptr) {
+    if (index_->chunkLayout(0) == nullptr) {
         // v1/v2 fallback: an independent decode-and-skip pass.
         auto src = index_->store().openChunk(0);
         LosslessReader reader(info.pipeline, *src);
@@ -595,31 +567,24 @@ AtcCursor::rangeLossless(uint64_t begin, uint64_t end,
         return;
     }
 
-    // Covering transform buffers -> covering frames; decode exactly
-    // those frames (in the pool when one is attached), inverse-
-    // transform, and slice the requested records out.
+    // Covering transform buffers, through the shared cache (misses
+    // decode together, on the pool when one is attached); each unit is
+    // released as soon as its slice is copied out.
+    uint64_t buffer = info.pipeline.buffer_addrs;
     uint64_t b0 = index_->bufferOf(begin);
-    uint64_t b1 = index_->bufferOf(end - 1);
-    uint64_t raw0 = index_->bufferRawOffset(b0);
-    uint64_t raw1 = index_->bufferRawOffset(b1) +
-                    util::varintLen(index_->bufferLen(b1)) +
-                    8 * index_->bufferLen(b1);
-    ATC_CHECK(raw1 <= layout->rawTotal(),
-              "container truncated: range lies past the indexed frames");
-    size_t f0 = layout->frameContaining(raw0);
-    size_t f1 = layout->frameContaining(raw1 - 1);
-
-    std::vector<uint8_t> raw = decodeFrames(f0, f1);
-    util::MemorySource mem(raw.data(), raw.size());
-    mem.skip(raw0 - layout->raw_starts[f0]);
-    TransformDecoder transform(info.pipeline.transform, mem);
-    auto read = [&transform](uint64_t *o, size_t n) {
-        return transform.read(o, n);
-    };
-    discardRecords(read, begin - b0 * info.pipeline.buffer_addrs,
-                   "container truncated inside the range");
+    std::vector<BlockCache<uint64_t>::Ptr> units =
+        index_->decodedBuffers(b0, index_->bufferOf(end - 1), pool_);
     out.resize(static_cast<size_t>(want));
-    fillRecords(read, out, "container truncated inside the range");
+    uint64_t at = begin;
+    for (size_t i = 0; i < units.size(); ++i) {
+        uint64_t first = (b0 + i) * buffer;
+        uint64_t take = std::min<uint64_t>(end, first + units[i]->size()) - at;
+        std::memcpy(out.data() + (at - begin),
+                    units[i]->data() + (at - first),
+                    static_cast<size_t>(take) * sizeof(uint64_t));
+        at += take;
+        units[i].reset();
+    }
 }
 
 void
@@ -630,7 +595,7 @@ AtcCursor::prefetchLossyChunks(uint64_t begin, uint64_t end)
     // payloads are independent, so only the insertion is serialized.
     // Skipped without a pool or with the cache disabled (nowhere to
     // publish a decode the assembly loop could reuse).
-    if (pool_ == nullptr || !index_->chunkCache().enabled())
+    if (pool_ == nullptr || !index_->cache().enabled())
         return;
     const std::vector<uint64_t> &starts = index_->recordStarts();
     const std::vector<IntervalRecord> &records = index_->info().records;
@@ -642,11 +607,11 @@ AtcCursor::prefetchLossyChunks(uint64_t begin, uint64_t end)
     // pool, dropped unstored by put(), and decoded a second time by
     // the assembly loop — worse than no prefetch. Whatever is skipped
     // here simply decodes on demand, exactly once. The planning is
-    // exact because the chunk cache is single-shard (planned inserts
-    // go to the LRU front, so they evict stale residents, never each
-    // other) and an interval's length equals its chunk's decoded
-    // length (validated on read).
-    BlockCache<uint64_t> &cache = index_->chunkCache();
+    // exact because the cache is one LRU (planned inserts go to its
+    // front, so they evict stale residents, never each other) and an
+    // interval's length equals its chunk's decoded length (validated
+    // on read).
+    BlockCache<uint64_t> &cache = index_->cache();
     std::vector<uint32_t> ids, counted;
     uint64_t budget = cache.capacityBytes();
     uint64_t planned = 0;

@@ -13,9 +13,11 @@
  * AtcCursor is the trace::TraceCursor implementation minted from an
  * AtcIndex. Cursors are cheap: each holds only its own decode state,
  * so a consumer wanting several independent read positions opens
- * several cursors. seek() on a lossless v3 container binary-searches
- * the frame index and decodes only from the containing frame onward;
- * on lossy containers it lands on the containing interval boundary
+ * several cursors. seek() on a lossless v3 container lands inside the
+ * containing transform buffer — the smallest unit the inverse bytesort
+ * can decode — fetched through the index's shared decoded-record cache
+ * (a hit is a copy; a miss decodes only the frames covering it); on
+ * lossy containers it lands on the containing interval boundary
  * (the paper's lossy semantics make positions inside an imitated
  * interval approximations anyway — tell() reports where the cursor
  * actually landed). v1/v2 containers carry no frame index, so their
@@ -25,7 +27,7 @@
  *  - AtcIndex: immutable, share freely (its ChunkStore must stay
  *    readable and unmodified for the index's lifetime, and openChunk()
  *    must be callable concurrently — DirectoryStore and MemoryStore
- *    both qualify). The attached decoded-block cache (BlockCache) is
+ *    both qualify). The attached decoded-record cache (BlockCache) is
  *    internally synchronized mutable state and shared along with the
  *    index; see IndexOptions::cache_bytes.
  *  - AtcCursor: confined to one thread at a time; concurrent use of
@@ -38,6 +40,7 @@
 #ifndef ATC_ATC_INDEX_HPP_
 #define ATC_ATC_INDEX_HPP_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,21 +65,22 @@ class AtcCursor;
 /** Knobs of a cursor minted by AtcIndex::cursor(). */
 struct CursorOptions
 {
-    /** Borrowed pool; when set, readRange() fans the decode of the
-     *  covering frames (lossless v3) or covering chunks (lossy) out
-     *  to it. Must outlive the cursor. */
+    /** Borrowed pool; when set, the cache-missing frames of a lossless
+     *  v3 buffer decode (seek, stream or range) and the covering chunks
+     *  of a lossy readRange() are decoded on it. Must outlive the
+     *  cursor. */
     parallel::ThreadPool *pool = nullptr;
 };
 
 /** Knobs of the snapshot built by AtcIndex::open(). */
 struct IndexOptions
 {
-    /** Budget of the shared decoded-block cache, in bytes (0 disables
-     *  it). Lossless v3 indexes cache decoded codec frames keyed by
-     *  (chunk, frame); lossy indexes cache decoded chunks keyed by
-     *  chunk id. Every cursor minted from the index reads through the
-     *  same cache, so repeated seeks into a cache-resident working set
-     *  decode nothing. */
+    /** Budget of the shared decoded-record cache, in bytes (0 disables
+     *  it). The cache holds decoded records per decode unit: a lossless
+     *  v3 transform buffer keyed by buffer number, or a lossy chunk
+     *  keyed by chunk id. Every cursor minted from the index reads
+     *  through the same cache, so a seek or range over resident units
+     *  is a copy — no codec decode, no inverse transform. */
     size_t cache_bytes = kDefaultDecodedCacheBytes;
 };
 
@@ -164,40 +168,51 @@ class AtcIndex : public std::enable_shared_from_this<AtcIndex>
      *  container (codecs are stateless and thread-safe). */
     const comp::ConfiguredCodec &codec() const { return codec_; }
 
-    // ---- shared decoded-block cache (see IndexOptions::cache_bytes).
-    // The caches are internally synchronized mutable state attached to
-    // the otherwise-immutable snapshot; sharing the index across
-    // threads shares them too.
-
-    /** @return the decoded-frame cache (lossless v3 cursors). */
-    BlockCache<uint8_t> &frameCache() const { return frame_cache_; }
-
-    /** @return the decoded-chunk cache (lossy cursors). */
-    BlockCache<uint64_t> &chunkCache() const { return chunk_cache_; }
+    /**
+     * @return the shared decoded-record cache (see
+     * IndexOptions::cache_bytes): internally synchronized mutable state
+     * attached to the otherwise-immutable snapshot, so sharing the
+     * index across threads shares it too. `atcinfo` and the serving
+     * daemon's STAT op report its stats().
+     */
+    BlockCache<uint64_t> &cache() const { return cache_; }
 
     /**
-     * @return the aggregate counters of whichever shared cache this
-     * container's mode uses (decoded frames in lossless, decoded
-     * chunks in lossy) — the one public window onto cache behaviour,
-     * consumed by `atcinfo` and the serving daemon's STAT op.
+     * The last codec frame a lossless buffer decode ran, kept by a
+     * streaming caller: when the next buffer starts inside it, the
+     * next decode reuses it instead of decoding that frame again.
      */
-    BlockCacheStats
-    cacheStats() const
+    struct FrameCarry
     {
-        return info_.mode == Mode::Lossy ? chunk_cache_.stats()
-                                         : frame_cache_.stats();
+        size_t frame = SIZE_MAX;
+        std::vector<uint8_t> bytes;
+    };
+
+    /**
+     * @return the decoded records of lossless v3 transform buffer @p b
+     * through the shared cache. A miss fetches the frames covering the
+     * buffer (zero-copy on mapped chunks, decoded on @p pool when one
+     * is given), checks the buffer's declared length against
+     * bufferLen(@p b), runs the inverse transform and inserts the
+     * result. @p carry, when given, supplies and receives the boundary
+     * frame shared with the neighbouring buffer.
+     * @throws util::Error on corrupt or truncated data
+     */
+    BlockCache<uint64_t>::Ptr
+    decodedBuffer(uint64_t b, parallel::ThreadPool *pool,
+                  FrameCarry *carry = nullptr) const
+    {
+        return decodedBuffers(b, b, pool, carry).front();
     }
 
     /**
-     * Fetch the decoded bytes of frame @p f of chunk @p chunk_id
-     * through the shared cache: a hit skips the frame in @p src
-     * without touching its payload; a miss decodes through
-     * comp::decodeIndexedFrame and inserts the result. @p src must be
-     * positioned at the frame's header and is left just past the
-     * frame either way, so sequential callers stay aligned.
+     * decodedBuffer() over buffers [@p b0, @p b1]: the cache-missing
+     * buffers are decoded in runs sharing one pass over their covering
+     * frames, so no frame is decoded twice.
      */
-    BlockCache<uint8_t>::Ptr decodedFrame(uint32_t chunk_id, size_t f,
-                                          util::ByteSource &src) const;
+    std::vector<BlockCache<uint64_t>::Ptr>
+    decodedBuffers(uint64_t b0, uint64_t b1, parallel::ThreadPool *pool,
+                   FrameCarry *carry = nullptr) const;
 
     // ---- lossless transform-buffer geometry (derived from INFO) ----
     // The raw (pre-codec) stream is a sequence of self-contained
@@ -224,6 +239,10 @@ class AtcIndex : public std::enable_shared_from_this<AtcIndex>
     AtcIndex(std::unique_ptr<ChunkStore> owned, const IndexOptions &iopt);
 
     void load();
+    uint64_t bufferRawEnd(uint64_t b) const;
+    std::vector<uint8_t> decodeFrameSpan(size_t fa, size_t fz,
+                                         parallel::ThreadPool *pool,
+                                         FrameCarry *carry) const;
 
     std::unique_ptr<ChunkStore> owned_store_;
     ChunkStore *store_;
@@ -233,10 +252,7 @@ class AtcIndex : public std::enable_shared_from_this<AtcIndex>
     std::vector<comp::StreamLayout> layouts_;
     /** Lossy only: record_starts_[i] = first record of interval i. */
     std::vector<uint64_t> record_starts_;
-    /** Only the mode-appropriate cache is ever populated; the other
-     *  stays an empty shell (see IndexOptions::cache_bytes). */
-    mutable BlockCache<uint8_t> frame_cache_;
-    mutable BlockCache<uint64_t> chunk_cache_;
+    mutable BlockCache<uint64_t> cache_;
 };
 
 /** Seekable reader over one AtcIndex; see the file comment. */
@@ -269,28 +285,31 @@ class AtcCursor : public trace::TraceCursor
     void seekLossy(uint64_t rec);
     void skipRecords(uint64_t n);
     size_t readImpl(uint64_t *out, size_t n);
+    size_t readUnits(uint64_t *out, size_t n);
     void rangeLossless(uint64_t begin, uint64_t end,
                        std::vector<uint64_t> &out);
     void rangeLossy(uint64_t begin, uint64_t end,
                     std::vector<uint64_t> &out);
     void prefetchLossyChunks(uint64_t begin, uint64_t end);
-    std::vector<uint8_t> decodeFrames(size_t first, size_t last);
 
     std::shared_ptr<const AtcIndex> index_;
     parallel::ThreadPool *pool_;
     uint64_t pos_ = 0;
 
     // Lossless state: either the sequential pipeline (LosslessReader,
-    // CRC-verifying — active from construction and after seek(0)) or
-    // the mid-stream pipeline built by a v3 seek. The codec itself is
-    // the index's (shared, stateless).
+    // CRC-verifying — active from construction and after seek(0)) or,
+    // after a v3 seek, the decoded transform buffer unit_b_ (shared
+    // with the index's cache) read from offset unit_off_, plus the
+    // boundary frame carried into the next buffer's decode.
     std::unique_ptr<util::ByteSource> chunk_src_;
     std::unique_ptr<LosslessReader> sequential_;
-    std::unique_ptr<util::ByteSource> frame_src_;
-    std::unique_ptr<TransformDecoder> transform_;
+    BlockCache<uint64_t>::Ptr unit_;
+    uint64_t unit_b_ = 0;
+    size_t unit_off_ = 0;
+    AtcIndex::FrameCarry carry_;
 
-    // Lossy state: shared interval trace, shared chunk cache (both
-    // owned by the index).
+    // Lossy state: shared interval trace, shared cache (both owned by
+    // the index).
     std::unique_ptr<LossyDecoder> lossy_;
 };
 

@@ -166,6 +166,12 @@ readContainerInfo(ChunkStore &store)
     out.pipeline.transform = static_cast<Transform>(transform);
     out.pipeline.buffer_addrs =
         static_cast<size_t>(util::readVarint(payload));
+    // Zero would divide the seek geometry by zero, and bytesort ranks
+    // a buffer's records with 32-bit indices, so no valid container
+    // holds a larger buffer; the bound also keeps 8 * B from wrapping.
+    ATC_CHECK(out.pipeline.buffer_addrs != 0 &&
+                  out.pipeline.buffer_addrs <= (uint64_t(1) << 32),
+              "corrupt ATC transform buffer size");
     out.pipeline.codec = codec.spec;
     // The version decides how the chunk streams are framed, so every
     // consumer of this pipeline (serial, parallel, per-chunk lossy)

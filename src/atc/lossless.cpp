@@ -43,8 +43,8 @@ LosslessReader::LosslessReader(const LosslessParams &params,
     codec_ = cc.codec;
     codec_stage_ = std::make_unique<comp::StreamDecompressor>(
         *codec_, in, params.frame_format);
-    transform_ = std::make_unique<TransformDecoder>(params.transform,
-                                                    *codec_stage_);
+    transform_ = std::make_unique<TransformDecoder>(
+        params.transform, *codec_stage_, params.buffer_addrs);
 }
 
 void

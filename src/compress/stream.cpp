@@ -266,16 +266,6 @@ checkIndexedFrameHeader(util::ByteSource &src, const StreamLayout &layout,
 
 } // namespace
 
-void
-readIndexedFramePayload(util::ByteSource &src, const StreamLayout &layout,
-                        size_t f, std::vector<uint8_t> &comp)
-{
-    FrameIndexEntry entry;
-    checkIndexedFrameHeader(src, layout, f, entry);
-    comp.resize(static_cast<size_t>(entry.comp_size));
-    src.readExact(comp.data(), comp.size());
-}
-
 FramePayload
 fetchIndexedFramePayload(util::ByteSource &src, const StreamLayout &layout,
                          size_t f)
@@ -293,18 +283,6 @@ fetchIndexedFramePayload(util::ByteSource &src, const StreamLayout &layout,
         p.data = p.owned.data();
     }
     return p;
-}
-
-std::vector<uint8_t>
-decodeIndexedFrame(const Codec &codec, util::ByteSource &src,
-                   const StreamLayout &layout, size_t f)
-{
-    std::vector<uint8_t> out;
-    FramePayload p = fetchIndexedFramePayload(src, layout, f);
-    decodeSeekableFrame(codec, p.data, p.size,
-                        static_cast<size_t>(layout.frames[f].raw_size),
-                        out);
-    return out;
 }
 
 StreamCompressor::StreamCompressor(const Codec &codec, util::ByteSink &sink,

@@ -151,19 +151,6 @@ struct StreamLayout
 StreamLayout scanSeekableStream(util::ByteSource &src, bool crc_trailer);
 
 /**
- * Read frame @p f's compressed payload from @p src — which must be
- * positioned at that frame's header (layout.comp_starts[f]) — into
- * @p comp, re-validating the header against the scanned @p layout.
- * The one frame-fetch used by every consumer of a StreamLayout (the
- * cursor's mid-stream pipelines and the parallel scanner), so they
- * all reject a stream that changed since the scan identically.
- * @throws util::Error on truncation or any header/layout disagreement
- */
-void readIndexedFramePayload(util::ByteSource &src,
-                             const StreamLayout &layout, size_t f,
-                             std::vector<uint8_t> &comp);
-
-/**
  * One frame's compressed payload, zero-copy when the source can serve
  * it. `data` either borrows the source's backing storage (mmap or
  * memory — `owned` stays empty, `keepalive` pins a mapping) or points
@@ -180,32 +167,19 @@ struct FramePayload
 };
 
 /**
- * readIndexedFramePayload without the copy when @p src supports
- * view(): validates the header identically, then borrows the payload
- * span in place (falling back to an owned read). The fetch used by the
- * pooled decoders — the cursor's frame pipeline and the parallel
- * scanner — so mapped containers decode straight off the page cache.
+ * Fetch frame @p f's compressed payload from @p src — which must be
+ * positioned at that frame's header (layout.comp_starts[f]) — after
+ * re-validating the header against the scanned @p layout. Borrows the
+ * payload span in place when @p src supports view(), else copies it.
+ * The one frame-fetch used by every consumer of a StreamLayout (the
+ * index's buffer decode and the parallel scanner), so they all reject
+ * a stream that changed since the scan identically, and mapped
+ * containers decode straight off the page cache.
  * @throws util::Error on truncation or any header/layout disagreement
  */
 FramePayload fetchIndexedFramePayload(util::ByteSource &src,
                                       const StreamLayout &layout,
                                       size_t f);
-
-/**
- * Read and decode frame @p f of a scanned Seekable stream in one step
- * (readIndexedFramePayload + decodeSeekableFrame). @p src must be
- * positioned at the frame's header (layout.comp_starts[f]) and is left
- * just past the frame. This is the serial frame-decode entry point the
- * random-access paths funnel through — cursor seeks and the shared
- * decoded-block cache fill — so every consumer rejects a stream that
- * changed since the scan identically. (Pooled decoders split the two
- * steps: payloads are read serially, decodeSeekableFrame runs on the
- * pool.)
- */
-std::vector<uint8_t> decodeIndexedFrame(const Codec &codec,
-                                        util::ByteSource &src,
-                                        const StreamLayout &layout,
-                                        size_t f);
 
 /** Accumulates bytes and emits codec frames into a sink. */
 class StreamCompressor : public util::ByteSink

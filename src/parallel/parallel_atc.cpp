@@ -469,7 +469,7 @@ ParallelAtcReader::startSeekableLossless()
         std::max<size_t>(lookahead_, 1));
     auto source = std::make_unique<DecodedFrameSource>(*this);
     transform_dec_ = std::make_unique<core::TransformDecoder>(
-        info().pipeline.transform, *source);
+        info().pipeline.transform, *source, info().pipeline.buffer_addrs);
     frame_source_ = std::move(source);
     // The index captured (and validated) the end-of-stream frame
     // index and CRC trailer at open, so the scanner never has to read
@@ -492,21 +492,7 @@ ParallelAtcReader::scanFrames()
         // stream still matches the snapshot.
         const comp::StreamLayout &layout = *index_->chunkLayout(0);
         auto src = store_->openChunk(0);
-        core::BlockCache<uint8_t> &cache = index_->frameCache();
         for (size_t f = 0; f < layout.frames.size(); ++f) {
-            // Consult (but never populate — a full scan would churn
-            // the cursors' working set) the shared decoded-frame
-            // cache: a hit skips the payload and ships a ready future.
-            if (core::BlockCache<uint8_t>::Ptr hit = cache.get(
-                    core::BlockCache<uint8_t>::frameKey(0, f))) {
-                src->skip(layout.comp_starts[f + 1] -
-                          layout.comp_starts[f]);
-                std::promise<std::vector<uint8_t>> ready;
-                ready.set_value(std::vector<uint8_t>(*hit));
-                if (!frames_->push(ready.get_future()))
-                    return; // consumer abandoned the stream
-                continue;
-            }
             // Zero-copy on mapped chunks: the payload borrows the
             // mapping, which the FramePayload's keepalive pins past
             // this scanner's source (the futures outlive it, crossing
@@ -586,11 +572,11 @@ ParallelAtcReader::scheduleAhead()
         uint32_t id = info().records[i].chunk_id;
         auto it = decodes_.find(id);
         if (it == decodes_.end()) {
-            // Consult the shared decoded-chunk cache first (a cursor
-            // may have warmed it); like the lossless scanner, the
-            // sequential pass never populates it.
+            // Consult the shared decoded-record cache first (a cursor
+            // may have warmed it); the sequential pass never populates
+            // it, so a full scan cannot churn the cursors' working set.
             if (core::BlockCache<uint64_t>::Ptr hit =
-                    index_->chunkCache().get(id)) {
+                    index_->cache().get(id)) {
                 // ChunkPtr and the cache's Ptr are the same type, so
                 // the immutable block is shared, never copied.
                 std::promise<ChunkPtr> ready;

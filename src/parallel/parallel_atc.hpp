@@ -62,11 +62,12 @@ struct ParallelOptions
     /** In-flight blocks/chunks ahead of the reassembly point;
      *  0 = 2 * threads. Bounds memory and provides backpressure. */
     size_t lookahead = 0;
-    /** Budget of the reader's shared decoded-block cache (forwarded
+    /** Budget of the reader's shared decoded-record cache (forwarded
      *  to core::IndexOptions::cache_bytes; 0 disables it). The
-     *  sequential decode consults it but never populates it — a full
-     *  scan must not churn the seek working set — while cursors
-     *  minted via cursor() both consult and populate. */
+     *  sequential decode never populates it — a full scan must not
+     *  churn the seek working set (the lossy pass consults it for
+     *  chunk hits) — while cursors minted via cursor() both consult
+     *  and populate. */
     size_t cache_bytes = core::kDefaultDecodedCacheBytes;
 };
 

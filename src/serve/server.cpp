@@ -189,7 +189,7 @@ TraceServer::start()
     ignoreSigpipe();
 
     // Open every registered container now that the final count is
-    // known: each index gets an even share of the global decoded-block
+    // known: each index gets an even share of the global decoded-record
     // cache budget. A corrupt container fails start(), not the first
     // request that touches it.
     core::IndexOptions iopt;
@@ -957,11 +957,10 @@ TraceServer::statText() const
                                                                  : 0);
         appendStat(out, prefix + ".container_version",
                    container->index->version());
-        core::BlockCacheStats cs = container->index->cacheStats();
+        const core::BlockCache<uint64_t> &cache = container->index->cache();
+        core::BlockCacheStats cs = cache.stats();
         appendStat(out, prefix + ".cache.capacity_bytes",
-                   container->index->mode() == core::Mode::Lossy
-                       ? container->index->chunkCache().capacityBytes()
-                       : container->index->frameCache().capacityBytes());
+                   cache.capacityBytes());
         appendStat(out, prefix + ".cache.hits", cs.hits);
         appendStat(out, prefix + ".cache.misses", cs.misses);
         appendStat(out, prefix + ".cache.insertions", cs.insertions);

@@ -4,7 +4,7 @@
  * random-access read stack.
  *
  * One server opens N containers once — one shared AtcIndex (and
- * therefore one shared decoded-block cache) per container, with a
+ * therefore one shared decoded-record cache) per container, with a
  * global cache budget partitioned across them — and serves thousands
  * of range/seek clients over the length-prefixed binary protocol of
  * serve/protocol.hpp.
@@ -20,7 +20,7 @@
  * (parked in a drain loop via parallel::attachWorkers) execute
  * requests — each OPEN handle owns a private AtcCursor over the
  * container's shared index, so concurrent clients share decoded
- * blocks through the index's BlockCache while keeping their own seek
+ * records through the index's BlockCache while keeping their own seek
  * state — and write responses directly to the session socket.
  *
  * Admission control is what keeps the daemon fair: each session may
@@ -92,7 +92,7 @@ struct ServeOptions
      *  queueing delay, not correctness. */
     size_t queue_capacity = 256;
 
-    /** Global decoded-block cache budget, partitioned evenly across
+    /** Global decoded-record cache budget, partitioned evenly across
      *  the served containers' AtcIndex instances (0 disables). */
     size_t cache_bytes = core::kDefaultDecodedCacheBytes;
 

@@ -8,7 +8,7 @@
  * Each worker drives its own window fetcher:
  *
  *  - local backend: a private core::AtcCursor over one shared
- *    AtcIndex (and therefore one shared decoded-block cache) —
+ *    AtcIndex (and therefore one shared decoded-record cache) —
  *    record-exact readRange() per window, or seek+read when
  *    StudyOptions::fetch is kSeek;
  *  - served backend: its own serve::ServeClient connection to an

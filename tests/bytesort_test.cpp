@@ -145,7 +145,7 @@ TEST_P(TransformRoundTrip, StreamingRandomAddresses)
         EXPECT_EQ(enc.count(), len);
 
         util::MemorySource src(out);
-        core::TransformDecoder dec(transform, src);
+        core::TransformDecoder dec(transform, src, buffer);
         std::vector<uint64_t> back;
         uint64_t v;
         while (dec.decode(&v))

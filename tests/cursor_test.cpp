@@ -8,12 +8,15 @@
  * codec proving that a v3 readRange decodes only the frames covering
  * the slice (and that opening an index decodes nothing), corrupt-index
  * rejection at open, and N threads sharing one AtcIndex through
- * private cursors (the TSan target). The shared decoded-block cache
- * suite proves results are budget-independent (disabled/tiny/large),
- * that repeated seeks into a cache-resident working set decode zero
- * frames, that eviction races under a starved budget stay coherent
- * (TSan again), and that a pooled lossy readRange fans covering-chunk
- * decodes onto worker threads while staying record-exact.
+ * private cursors (the TSan target). The shared decoded-record cache
+ * suite proves results are budget-independent (disabled/tiny/large,
+ * and a budget below one unit retains nothing), that repeated seeks
+ * and ranges over cache-resident transform buffers run neither a codec
+ * decode nor an inverse transform, that cold seek-then-stream and cold
+ * ranges decode every covering frame exactly once, that eviction races
+ * under a starved budget stay coherent (TSan again), and that a pooled
+ * lossy readRange fans covering-chunk decodes onto worker threads
+ * while staying record-exact.
  */
 
 #include <algorithm>
@@ -28,6 +31,7 @@
 #include "atc/atc.hpp"
 #include "atc/index.hpp"
 #include "compress/codec.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/parallel_atc.hpp"
 #include "parallel/thread_pool.hpp"
 #include "trace/pipeline.hpp"
@@ -548,18 +552,17 @@ TEST_P(SharedIndex, TinyCacheEvictionRacesStayCoherent)
     auto store = writeContainer(trace, opt);
     auto ref = reference(store);
 
-    // Big enough to retain individual blocks (frames are 4 KiB raw
-    // here, chunks 8 KB), far too small for the working set.
+    // Big enough to retain individual units (transform buffers are
+    // 777 records = 6 KB here, chunks 8 KB), far too small for the
+    // working set.
     core::IndexOptions iopt;
     iopt.cache_bytes = 16 * 1024;
     auto opened = core::AtcIndex::open(store, iopt);
     ASSERT_TRUE(opened.ok()) << opened.status().message();
     EXPECT_EQ(stressCursors(opened.value(), ref), 0);
-    core::BlockCacheStats stats = GetParam() == core::Mode::Lossless
-                                      ? opened.value()->frameCache().stats()
-                                      : opened.value()->chunkCache().stats();
+    core::BlockCacheStats stats = opened.value()->cache().stats();
     EXPECT_GT(stats.evictions, 0u);
-    EXPECT_LE(stats.entries, 8u); // one pinned survivor per shard at most
+    EXPECT_LE(stats.bytes, iopt.cache_bytes); // never over budget
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, SharedIndex,
@@ -574,21 +577,22 @@ class CacheBudget : public testing::TestWithParam<core::Mode>
 
 TEST_P(CacheBudget, ResultsIdenticalAcrossBudgets)
 {
-    // Disabled, pathologically tiny and comfortably large budgets must
-    // be observationally identical — the cache is a pure accelerator.
+    // Disabled, pathologically tiny, below-one-unit and comfortably
+    // large budgets must be observationally identical — the cache is a
+    // pure accelerator. Units here are a 777-record buffer (6216 B) or
+    // a 1000-record chunk (8000 B).
     auto trace = makeTrace(20'000, 34);
     auto store = writeContainer(trace, makeOptions(GetParam()));
     auto ref = reference(store);
 
     for (size_t cache_bytes :
-         {size_t(0), size_t(1), size_t(64) << 20}) {
+         {size_t(0), size_t(1), size_t(4096), size_t(64) << 20}) {
         core::IndexOptions iopt;
         iopt.cache_bytes = cache_bytes;
         auto opened = core::AtcIndex::open(store, iopt);
         ASSERT_TRUE(opened.ok()) << opened.status().message();
         auto index = opened.value();
-        EXPECT_EQ(index->frameCache().enabled(), cache_bytes != 0);
-        EXPECT_EQ(index->chunkCache().enabled(), cache_bytes != 0);
+        EXPECT_EQ(index->cache().enabled(), cache_bytes != 0);
 
         auto cursor = index->cursor();
         util::Rng rng(77); // same access pattern for every budget
@@ -613,6 +617,11 @@ TEST_P(CacheBudget, ResultsIdenticalAcrossBudgets)
                 ASSERT_EQ(out[i], ref[static_cast<size_t>(b) + i])
                     << "budget " << cache_bytes << " range " << b;
         }
+        // A budget smaller than one unit retains nothing.
+        if (cache_bytes != 0 && cache_bytes < 6216) {
+            EXPECT_EQ(index->cache().stats().entries, 0u) << cache_bytes;
+            EXPECT_EQ(index->cache().stats().insertions, 0u) << cache_bytes;
+        }
     }
 }
 
@@ -620,7 +629,15 @@ INSTANTIATE_TEST_SUITE_P(Modes, CacheBudget,
                          testing::Values(core::Mode::Lossless,
                                          core::Mode::Lossy));
 
-TEST(SeekHot, CacheResidentWorkingSetDecodesZeroFrames)
+int64_t
+transformDecodes()
+{
+    return obs::Registry::global()
+        .counter("atc.transform.decode_buffers")
+        .value();
+}
+
+TEST(SeekHot, CacheResidentBuffersDecodeNothing)
 {
     registerCountingCodec();
     auto trace = makeTrace(60'000, 30);
@@ -632,32 +649,133 @@ TEST(SeekHot, CacheResidentWorkingSetDecodesZeroFrames)
     auto index = opened.value();
     auto cursor = index->cursor();
 
-    // Warm: the first visit of each offset decodes its covering frames
-    // into the shared cache.
+    // Warm: the first visit of each offset decodes its covering
+    // transform buffers into the shared cache.
     const uint64_t offsets[] = {777, 12'345, 23'456, 41'000, 59'000};
     uint64_t buf[500];
+    std::vector<uint64_t> out;
     for (uint64_t off : offsets) {
         ASSERT_TRUE(cursor->seek(off).ok());
         ASSERT_EQ(cursor->read(buf, 500), 500u);
+        ASSERT_TRUE(cursor->readRange(off, off + 500, out).ok());
     }
-    ASSERT_GT(index->frameCache().stats().entries, 0u);
+    ASSERT_GT(index->cache().stats().entries, 0u);
 
-    // Hot: the working set is cache-resident — repeated seeks decode
-    // zero frames, from this cursor and from a second cursor sharing
-    // the index (that is what "shared" buys).
+    // Hot: the working set is cache-resident — repeated seeks and
+    // ranges, from this cursor and from a second cursor sharing the
+    // index, run neither a codec decode nor an inverse transform.
     auto cursor2 = index->cursor();
     CountingCodec::decodes = 0;
+    int64_t transforms = transformDecodes();
+    uint64_t hits = index->cache().stats().hits;
     for (int round = 0; round < 3; ++round) {
         for (uint64_t off : offsets) {
-            ASSERT_TRUE(cursor->seek(off).ok());
-            ASSERT_EQ(cursor->read(buf, 500), 500u);
-            ASSERT_TRUE(cursor2->seek(off).ok());
-            ASSERT_EQ(cursor2->read(buf, 500), 500u);
+            for (auto *c : {cursor.get(), cursor2.get()}) {
+                ASSERT_TRUE(c->seek(off).ok());
+                ASSERT_EQ(c->read(buf, 500), 500u);
+                for (size_t i = 0; i < 500; ++i)
+                    ASSERT_EQ(buf[i], trace[off + i]);
+                ASSERT_TRUE(c->readRange(off, off + 500, out).ok());
+                ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                                       trace.begin() + off));
+            }
         }
     }
     EXPECT_EQ(CountingCodec::decodes.load(), 0u);
-    EXPECT_GT(index->frameCache().stats().hits, 0u);
+    EXPECT_EQ(transformDecodes() - transforms, 0);
+    EXPECT_GT(index->cache().stats().hits, hits);
 }
+
+/** @return how many distinct frames cover transform buffers @p bufs
+ *  (none of them the last buffer). */
+size_t
+coveringFrames(const core::AtcIndex &idx, std::vector<uint64_t> bufs)
+{
+    const comp::StreamLayout &layout = *idx.chunkLayout(0);
+    std::set<size_t> frames;
+    for (uint64_t b : bufs) {
+        size_t f0 = layout.frameContaining(idx.bufferRawOffset(b));
+        size_t f1 = layout.frameContaining(idx.bufferRawOffset(b + 1) - 1);
+        for (size_t f = f0; f <= f1; ++f)
+            frames.insert(f);
+    }
+    return frames.size();
+}
+
+class DecodeOnce : public testing::TestWithParam<std::pair<size_t, bool>>
+{
+};
+
+TEST_P(DecodeOnce, ColdSeekStreamAndRangeDecodeEachCoveringFrameOnce)
+{
+    // Frames smaller than a buffer (4 KiB vs 6216 B) put boundary
+    // frames between neighbours; frames larger than a buffer (16 KiB)
+    // let one frame span a resident buffer and both its neighbours.
+    registerCountingCodec();
+    auto trace = makeTrace(60'000, 36);
+    auto opt = makeOptions(core::Mode::Lossless, "countstore");
+    opt.pipeline.codec_block = GetParam().first;
+    auto store = writeContainer(trace, opt);
+    parallel::ThreadPool pool(3);
+    core::CursorOptions copt;
+    copt.pool = GetParam().second ? &pool : nullptr;
+
+    const uint64_t kB = opt.pipeline.buffer_addrs;
+    const uint64_t b0 = 20, k = 5;
+    auto fresh = [&] {
+        auto opened = core::AtcIndex::open(store);
+        EXPECT_TRUE(opened.ok()) << opened.status().message();
+        return opened.value();
+    };
+
+    // Cold seek into b0, then stream to the end of buffer b0+k-1.
+    {
+        auto index = fresh();
+        auto cursor = index->cursor(copt);
+        CountingCodec::decodes = 0;
+        uint64_t begin = b0 * kB + 100, end = (b0 + k) * kB;
+        ASSERT_TRUE(cursor->seek(begin).ok());
+        std::vector<uint64_t> got(end - begin);
+        ASSERT_EQ(cursor->read(got.data(), got.size()), got.size());
+        ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                               trace.begin() + begin));
+        EXPECT_EQ(CountingCodec::decodes.load(),
+                  coveringFrames(*index, {20, 21, 22, 23, 24}));
+    }
+    // Cold readRange over the same k buffers.
+    {
+        auto index = fresh();
+        auto cursor = index->cursor(copt);
+        CountingCodec::decodes = 0;
+        std::vector<uint64_t> out;
+        uint64_t begin = b0 * kB + 100, end = (b0 + k) * kB - 5;
+        ASSERT_TRUE(cursor->readRange(begin, end, out).ok());
+        ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                               trace.begin() + begin));
+        EXPECT_EQ(CountingCodec::decodes.load(),
+                  coveringFrames(*index, {20, 21, 22, 23, 24}));
+
+        // With only b0+2 resident, the misses on either side of it
+        // still decode each of their covering frames once.
+        auto index2 = fresh();
+        auto cursor2 = index2->cursor(copt);
+        ASSERT_TRUE(
+            cursor2->readRange((b0 + 2) * kB, (b0 + 3) * kB, out).ok());
+        CountingCodec::decodes = 0;
+        ASSERT_TRUE(cursor2->readRange(begin, end, out).ok());
+        ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                               trace.begin() + begin));
+        EXPECT_EQ(CountingCodec::decodes.load(),
+                  coveringFrames(*index2, {20, 21, 23, 24}));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometry, DecodeOnce,
+    testing::Values(std::pair{size_t(4096), false},
+                    std::pair{size_t(4096), true},
+                    std::pair{size_t(16384), false},
+                    std::pair{size_t(16384), true}));
 
 // ----------------------------------------- pooled readRange (parallel)
 

@@ -10,6 +10,8 @@
 
 #include "atc/atc.hpp"
 #include "cache/filter.hpp"
+#include "compress/codec.hpp"
+#include "compress/stream.hpp"
 #include "trace/suite.hpp"
 #include "util/rng.hpp"
 
@@ -152,6 +154,100 @@ TEST(Robustness, MissingChunkFileThrows)
     EXPECT_THROW(drain(bad), util::Error);
 }
 
+TEST(Robustness, OversizeBufferLengthIsAnErrorStatus)
+{
+    // Rewrite the first transform buffer's varint(n) of a "store"-codec
+    // container to an absurd length, keeping the raw stream size (and
+    // so the frame index and INFO cross-checks) intact: the decoders
+    // must reject it as corrupt instead of trying to allocate 8n bytes.
+    core::AtcOptions opt;
+    opt.mode = core::Mode::Lossless;
+    opt.pipeline.codec = "store";
+    opt.pipeline.buffer_addrs = 1000;
+    opt.pipeline.codec_block = 4096;
+    std::vector<uint64_t> trace(5000);
+    util::Rng rng(12);
+    for (uint64_t &a : trace)
+        a = rng.next() >> 8;
+    core::MemoryStore base;
+    {
+        core::AtcWriter w(base, opt);
+        w.write(trace.data(), trace.size());
+        w.close();
+    }
+    std::vector<uint8_t> raw;
+    {
+        util::VectorSink sink(raw);
+        core::TransformEncoder enc(opt.pipeline.transform,
+                                   opt.pipeline.buffer_addrs, sink);
+        enc.write(trace.data(), trace.size());
+        enc.finish();
+    }
+    const size_t old_len = util::varintLen(opt.pipeline.buffer_addrs);
+
+    for (uint64_t n : {uint64_t(1) << 40, uint64_t(1) << 61}) {
+        std::vector<uint8_t> bad_raw;
+        util::VectorSink raw_sink(bad_raw);
+        util::writeVarint(raw_sink, n);
+        // The longer varint overwrites the start of the planes.
+        ASSERT_GT(bad_raw.size(), old_len);
+        bad_raw.insert(bad_raw.end(), raw.begin() + bad_raw.size(),
+                       raw.end());
+        ASSERT_EQ(bad_raw.size(), raw.size());
+
+        core::MemoryStore bad;
+        {
+            auto sink = bad.createInfo();
+            sink->write(base.infoBytes().data(), base.infoBytes().size());
+        }
+        {
+            auto sink = bad.createChunk(0);
+            comp::ConfiguredCodec cc = comp::makeCodec("store");
+            comp::StreamCompressor frames(*cc.codec, *sink,
+                                          opt.pipeline.codec_block,
+                                          comp::FrameFormat::Seekable);
+            frames.write(bad_raw.data(), bad_raw.size());
+            frames.finish();
+            util::writeLE<uint32_t>(*sink, frames.crc());
+        }
+
+        auto reader = core::AtcReader::open(bad);
+        ASSERT_TRUE(reader.ok()) << reader.status().message();
+        uint64_t buf[16];
+        auto got = reader.value()->tryRead(buf, 16);
+        EXPECT_FALSE(got.ok()) << "n = " << n;
+
+        auto cursor = reader.value()->cursor();
+        EXPECT_FALSE(cursor->seek(5).ok()) << "n = " << n;
+        std::vector<uint64_t> out;
+        EXPECT_FALSE(cursor->readRange(0, 10, out).ok()) << "n = " << n;
+    }
+}
+
+TEST(Robustness, InfoBufferSizeOutOfRangeIsAnErrorStatus)
+{
+    // B = 0 would divide the seek geometry by zero at open; B > 2^32
+    // cannot be bytesorted and would let 8 * B wrap.
+    auto base = makeContainer(core::Mode::Lossless, 4000, 13);
+    for (uint64_t b : {uint64_t(0), (uint64_t(1) << 32) + 1}) {
+        core::MemoryStore bad;
+        core::LosslessParams pipeline;
+        pipeline.codec = "store";
+        pipeline.buffer_addrs = static_cast<size_t>(b);
+        core::writeContainerInfo(bad, comp::makeCodec("store"),
+                                 core::kContainerVersion,
+                                 core::Mode::Lossless, pipeline, 4000,
+                                 nullptr, 1, nullptr);
+        auto sink = bad.createChunk(0);
+        sink->write(base.chunkBytes(0).data(), base.chunkBytes(0).size());
+        auto reader = core::AtcReader::open(bad);
+        ASSERT_FALSE(reader.ok()) << "B = " << b;
+        EXPECT_NE(reader.status().message().find("buffer size"),
+                  std::string::npos)
+            << reader.status().message();
+    }
+}
+
 TEST(DeltaTransform, RoundTripStreaming)
 {
     util::Rng rng(3);
@@ -169,7 +265,7 @@ TEST(DeltaTransform, RoundTripStreaming)
             enc.code(a);
         enc.finish();
         util::MemorySource src(out);
-        core::TransformDecoder dec(core::Transform::Delta, src);
+        core::TransformDecoder dec(core::Transform::Delta, src, 512);
         std::vector<uint64_t> back;
         uint64_t v;
         while (dec.decode(&v))

@@ -8,7 +8,8 @@
  * containers, out-of-range requests, mid-request disconnects — each
  * answered with the documented status code (or a clean close) and
  * never a crash, session reaping observed through STAT counters, the
- * shared decoded-block cache visible through AtcIndex::cacheStats(),
+ * shared decoded-record cache visible through AtcIndex::cache() (one
+ * entry per transform buffer, hits on repeated SEEKs),
  * and the admission-control bound: with a sleepy codec making decodes
  * expensive, a seek client's p99 latency under a flooding pipelined
  * scanner stays well below the uncapped configuration's, while the
@@ -603,9 +604,46 @@ TEST(Serve, StatExposesCountersAndCacheStats)
         << "repeated range did not hit the shared cache";
 
     // The same counters through the public C++ surface.
-    core::BlockCacheStats cs = server.containerIndex("t")->cacheStats();
+    core::BlockCacheStats cs = server.containerIndex("t")->cache().stats();
     EXPECT_EQ(cs.hits, stat["container.t.cache.hits"]);
     EXPECT_GE(cs.bytes, 1u);
+    server.stop();
+}
+
+TEST(Serve, StatCacheEntriesCountTransformBuffers)
+{
+    // The one cache holds decoded transform buffers: a range over k
+    // buffers leaves exactly k entries, and repeated SEEKs into them
+    // are hits.
+    auto trace = makeTrace(20'000, 31);
+    auto opt = makeOptions(core::Mode::Lossless);
+    auto store = writeContainer(trace, opt);
+    const uint64_t kB = opt.pipeline.buffer_addrs;
+
+    TraceServer server;
+    startServer(server, store);
+    ServeClient client = connectOrDie(server);
+    auto remote = client.open("t");
+    ASSERT_TRUE(remote.ok());
+    uint32_t h = remote.value().handle;
+
+    std::vector<uint64_t> out;
+    ASSERT_TRUE(client.readRange(h, 2 * kB + 5, 5 * kB - 5, out).ok());
+    auto stat = ServeClient::parseStat(client.statText().value());
+    EXPECT_EQ(stat["container.t.cache.entries"], 3u);
+    EXPECT_EQ(stat["container.t.cache.bytes"], 3 * kB * sizeof(uint64_t));
+    uint64_t hits = stat["container.t.cache.hits"];
+
+    for (int i = 0; i < 4; ++i) {
+        util::Status seek = client.seekRead(h, 3 * kB + 7 * i, 10, out);
+        ASSERT_TRUE(seek.ok()) << seek.message();
+        ASSERT_EQ(out.size(), 10u);
+        EXPECT_EQ(out[0], trace[3 * kB + 7 * i]);
+        auto now = ServeClient::parseStat(client.statText().value());
+        EXPECT_GT(now["container.t.cache.hits"], hits) << "seek " << i;
+        EXPECT_EQ(now["container.t.cache.entries"], 3u);
+        hits = now["container.t.cache.hits"];
+    }
     server.stop();
 }
 
