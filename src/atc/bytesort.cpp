@@ -19,6 +19,28 @@ topBytes(const uint64_t *a, size_t n, uint8_t *plane)
 }
 
 /**
+ * Byte histogram of @p plane, counted into four interleaved tables so
+ * a run of equal bytes does not serialize on one counter's
+ * store-to-load forwarding.
+ */
+void
+planeHistogram(const uint8_t *plane, size_t n, size_t *cnt)
+{
+    uint32_t h[4][256] = {};
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        h[0][plane[i]]++;
+        h[1][plane[i + 1]]++;
+        h[2][plane[i + 2]]++;
+        h[3][plane[i + 3]]++;
+    }
+    for (; i < n; ++i)
+        h[0][plane[i]]++;
+    for (int c = 0; c < 256; ++c)
+        cnt[c] = size_t(h[0][c]) + h[1][c] + h[2][c] + h[3][c];
+}
+
+/**
  * Stable counting sort of addresses by their top byte, shifting each
  * address left by 8 on the way (paper Figure 2's sort_bytes): the next
  * plane to emit is always the top byte.
@@ -27,17 +49,46 @@ void
 sortByTopByte(const uint64_t *src, size_t n, const uint8_t *plane,
               uint64_t *dst)
 {
-    uint32_t cnt[256] = {};
-    for (size_t i = 0; i < n; ++i)
-        cnt[plane[i]]++;
-    uint32_t start[256];
-    uint32_t sum = 0;
+    size_t cnt[256];
+    planeHistogram(plane, n, cnt);
+    size_t start[256];
+    size_t sum = 0;
     for (int c = 0; c < 256; ++c) {
         start[c] = sum;
         sum += cnt[c];
     }
     for (size_t i = 0; i < n; ++i)
         dst[start[plane[i]]++] = src[i] << 8;
+}
+
+/**
+ * Undo one stable sort by @p plane: rank s of the order the plane was
+ * emitted in went to rank cursor[plane[s]]++ of @p src's order, so
+ * dst[s] gathers that carried value and adds the plane's byte at
+ * @p shift. The byte value's cursor stays in a register across runs.
+ */
+template <typename Src>
+void
+unsortPlane(const uint8_t *plane, size_t n, const size_t *cnt,
+            const Src *src, uint64_t *dst, int shift, uint64_t or_bits)
+{
+    size_t cursor[256];
+    size_t sum = 0;
+    for (int c = 0; c < 256; ++c) {
+        cursor[c] = sum;
+        sum += cnt[c];
+    }
+    uint8_t c = plane[0];
+    size_t cur = cursor[c];
+    for (size_t s = 0; s < n; ++s) {
+        uint8_t b = plane[s];
+        if (b != c) {
+            cursor[c] = cur;
+            c = b;
+            cur = cursor[c];
+        }
+        dst[s] = static_cast<uint64_t>(c) << shift | src[cur++] | or_bits;
+    }
 }
 
 } // namespace
@@ -68,36 +119,50 @@ bytesortForward(const uint64_t *addrs, size_t n)
 std::vector<uint64_t>
 bytesortInverse(const uint8_t *bytes, size_t n)
 {
-    std::vector<uint64_t> addrs(n, 0);
+    std::vector<uint64_t> addrs(n);
     if (n == 0)
         return addrs;
 
-    // idx[s] = original position of the address at rank s of the
-    // current sorted order; plane j is stored in that order.
-    std::vector<uint32_t> idx(n), next(n);
-    for (size_t i = 0; i < n; ++i)
-        idx[i] = static_cast<uint32_t>(i);
-
-    for (int j = 0; j < 8; ++j) {
+    // Undo the encoder's seven stable sorts last-first, carrying each
+    // partial address instead of an index. V_j[s] = planes j..7 of the
+    // address at rank s of plane j's order: V_7 is plane 7 itself and
+    // V_j[s] = plane_j[s] << 8(7-j) | V_{j+1}[sort_j(s)], so V_0 is the
+    // trace. A constant plane sorts as the identity and costs no pass:
+    // its bits are ORed in on the first one.
+    size_t cnt[7][256];
+    int sorted[7];
+    int passes = 0;
+    uint64_t const_bits = 0;
+    for (int j = 6; j >= 0; --j) {
         const uint8_t *plane = bytes + static_cast<size_t>(j) * n;
-        int shift = 8 * (7 - j);
+        planeHistogram(plane, n, cnt[j]);
+        if (cnt[j][plane[0]] == n)
+            const_bits |= static_cast<uint64_t>(plane[0]) << (8 * (7 - j));
+        else
+            sorted[passes++] = j;
+    }
+
+    const uint8_t *plane7 = bytes + 7 * n;
+    if (passes == 0) {
         for (size_t s = 0; s < n; ++s)
-            addrs[idx[s]] |= static_cast<uint64_t>(plane[s]) << shift;
-        if (j < 7) {
-            // Replay the encoder's stable sort on the index array.
-            uint32_t cnt[256] = {};
-            for (size_t s = 0; s < n; ++s)
-                cnt[plane[s]]++;
-            uint32_t start[256];
-            uint32_t sum = 0;
-            for (int c = 0; c < 256; ++c) {
-                start[c] = sum;
-                sum += cnt[c];
-            }
-            for (size_t s = 0; s < n; ++s)
-                next[start[plane[s]]++] = idx[s];
-            idx.swap(next);
-        }
+            addrs[s] = plane7[s] | const_bits;
+        return addrs;
+    }
+    // Ping-pong so the last pass lands in addrs: one n-word scratch at
+    // most, no index array.
+    std::vector<uint64_t> scratch(passes > 1 ? n : 0);
+    uint64_t *buf[2] = {addrs.data(), scratch.data()};
+    const uint64_t *src = nullptr;
+    for (int p = 0; p < passes; ++p) {
+        int j = sorted[p];
+        const uint8_t *plane = bytes + static_cast<size_t>(j) * n;
+        uint64_t *dst = buf[(passes - 1 - p) & 1];
+        if (p == 0)
+            unsortPlane(plane, n, cnt[j], plane7, dst, 8 * (7 - j),
+                        const_bits);
+        else
+            unsortPlane(plane, n, cnt[j], src, dst, 8 * (7 - j), 0);
+        src = dst;
     }
     return addrs;
 }

@@ -83,6 +83,7 @@ void
 BwcCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
                           std::vector<uint8_t> &out) const
 {
+    ATC_CHECK(raw_size <= kMaxFrameRawSize, "BWC block size out of range");
     CodecStageMetrics &m = decodeStages();
     uint32_t crc = util::readLE<uint32_t>(in);
     uint64_t primary = util::readVarint(in);
@@ -90,27 +91,23 @@ BwcCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
     obs::StageTimer entropy_t(m.entropy_us);
     util::BitReader br(in);
     HuffmanDecoder dec = HuffmanDecoder::readTable(br, kRleAlphabet);
-
-    std::vector<uint16_t> symbols;
-    symbols.reserve(raw_size / 2 + 16);
-    for (;;) {
-        int sym = dec.decode(br);
-        symbols.push_back(static_cast<uint16_t>(sym));
-        if (sym == kEob)
-            break;
-    }
-    br.align();
     entropy_t.stop();
 
+    // Huffman symbols -> RLE -> MTF in one pass, straight into the BWT
+    // input, collecting the byte counts the inverse BWT needs. The
+    // inverse then overwrites its own input with the block.
     obs::StageTimer mtf_t(m.mtf_rle_us);
-    std::vector<uint8_t> mtf = rleDecode(symbols);
-    ATC_CHECK(mtf.size() == raw_size, "BWC block size mismatch");
-    std::vector<uint8_t> bwt = mtfDecode(mtf.data(), mtf.size());
+    out.resize(raw_size);
+    size_t counts[256] = {};
+    size_t got = rleMtfDecode([&] { return dec.decode(br); }, out.data(),
+                              raw_size, counts);
+    br.align();
+    ATC_CHECK(got == raw_size, "BWC block size mismatch");
     mtf_t.stop();
 
     obs::StageTimer bwt_t(m.bwt_us);
-    out = bwtInverse(bwt.data(), bwt.size(),
-                     static_cast<uint32_t>(primary));
+    bwtInverse(out.data(), raw_size, static_cast<size_t>(primary), counts,
+               out.data());
     bwt_t.stop();
     ATC_CHECK(util::crc32(out.data(), out.size()) == crc,
               "BWC block CRC mismatch");

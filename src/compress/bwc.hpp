@@ -4,7 +4,8 @@
  *
  * From-scratch stand-in for the paper's bzip2 back end, same algorithm
  * family: BWT (via SA-IS) -> move-to-front -> zero-run RLE -> canonical
- * Huffman, with a CRC-32 integrity check per block.
+ * Huffman, with a CRC-32 integrity check per block. Decoding runs the
+ * Huffman, RLE and MTF stages as one pass into the inverse BWT's input.
  *
  * Block layout (after the stream framing's size header):
  *   u32  crc32 of the raw block

@@ -32,15 +32,42 @@ struct BwtResult
 BwtResult bwtForward(const uint8_t *data, size_t n);
 
 /**
- * Inverse transform.
+ * Inverse transform into @p out (n bytes), given the exact byte
+ * histogram of @p data (the BWC decoder gets it from its RLE/MTF pass).
+ *
+ * One scatter builds a packed table tt[row] = next row << 8 | first
+ * byte, carrying each byte value's cursor in a register across runs of
+ * equal bytes; the walk is then one dependent load per output byte.
+ * Word is the packing: uint32_t covers blocks below 2^24 bytes,
+ * uint64_t anything larger. bwtInverse picks the narrower.
  *
  * @param data    transformed bytes
  * @param n       length
  * @param primary primary index returned by bwtForward
- * @return the original byte string
+ * @param counts  256 per-byte counts of @p data; must be exact
+ * @param out     receives the original n bytes; may be @p data (the
+ *                walk reads only the table)
+ * @throws util::Error when @p primary is out of range or the rows do
+ *         not form one cycle (corrupt input)
  */
+template <typename Word>
+void bwtInverseWith(const uint8_t *data, size_t n, size_t primary,
+                    const size_t *counts, uint8_t *out);
+
+extern template void bwtInverseWith<uint32_t>(const uint8_t *, size_t,
+                                              size_t, const size_t *,
+                                              uint8_t *);
+extern template void bwtInverseWith<uint64_t>(const uint8_t *, size_t,
+                                              size_t, const size_t *,
+                                              uint8_t *);
+
+/** bwtInverseWith on the narrowest packing that holds n + 1 rows. */
+void bwtInverse(const uint8_t *data, size_t n, size_t primary,
+                const size_t *counts, uint8_t *out);
+
+/** Inverse transform, counting the histogram itself. */
 std::vector<uint8_t> bwtInverse(const uint8_t *data, size_t n,
-                                uint32_t primary);
+                                size_t primary);
 
 } // namespace atc::comp
 

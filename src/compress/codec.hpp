@@ -37,6 +37,9 @@ namespace atc::comp {
 /** Default framing block size: 1 MiB, the scale of a bzip2 -9 block. */
 constexpr size_t kDefaultBlockSize = 1u << 20;
 
+/** Largest credible decompressed frame (far above any block size). */
+constexpr uint64_t kMaxFrameRawSize = uint64_t(1) << 30;
+
 /**
  * A whole-block byte compressor.
  *

@@ -177,6 +177,16 @@ HuffmanDecoder::HuffmanDecoder(const std::vector<uint8_t> &lengths)
         kraft += static_cast<uint64_t>(count_[l]) << (kMaxCodeLen - l);
     }
     ATC_CHECK(kraft <= (1ull << kMaxCodeLen), "invalid huffman table");
+
+    for (int l = 1; l <= kLutBits; ++l) {
+        for (uint32_t k = 0; k < count_[l]; ++k) {
+            uint32_t sym = sorted_symbols_[first_index_[l] + k];
+            uint32_t lo = (first_code_[l] + k) << (kLutBits - l);
+            uint32_t hi = lo + (1u << (kLutBits - l));
+            for (uint32_t i = lo; i < hi; ++i)
+                lut_[i] = sym << 8 | static_cast<uint32_t>(l);
+        }
+    }
 }
 
 HuffmanDecoder
@@ -189,7 +199,7 @@ HuffmanDecoder::readTable(util::BitReader &br, int alphabet)
 }
 
 int
-HuffmanDecoder::decode(util::BitReader &br) const
+HuffmanDecoder::decodeSlow(util::BitReader &br) const
 {
     uint32_t code = 0;
     for (int l = 1; l <= kMaxCodeLen; ++l) {

@@ -63,7 +63,12 @@ class HuffmanEncoder
     std::vector<uint32_t> codes_;
 };
 
-/** Decoder for canonical codes. */
+/**
+ * Decoder for canonical codes: one lookup in a 2^kLutBits-entry table
+ * resolves every code up to kLutBits long; longer codes, and the last
+ * few bits of a stream, take a bounded bit-at-a-time walk of the
+ * canonical ranges up to kMaxCodeLen.
+ */
 class HuffmanDecoder
 {
   public:
@@ -74,15 +79,34 @@ class HuffmanDecoder
     static HuffmanDecoder readTable(util::BitReader &br, int alphabet);
 
     /** Decode one symbol; throws on invalid codes or truncation. */
-    int decode(util::BitReader &br) const;
+    int
+    decode(util::BitReader &br) const
+    {
+        br.refill();
+        uint32_t e = lut_[br.peekBits(kLutBits)];
+        int len = static_cast<int>(e & 0xFF);
+        if (len != 0 && len <= br.bufferedBits()) {
+            br.consume(len);
+            return static_cast<int>(e >> 8);
+        }
+        return decodeSlow(br);
+    }
+
+    /** Codes up to this length decode with one table lookup. */
+    static constexpr int kLutBits = 10;
 
   private:
+    int decodeSlow(util::BitReader &br) const;
+
     // first_code_[l] is the canonical code value of the first code of
     // length l; first_index_[l] indexes sorted_symbols_.
     uint32_t first_code_[kMaxCodeLen + 2] = {};
     int32_t first_index_[kMaxCodeLen + 2] = {};
     uint16_t count_[kMaxCodeLen + 2] = {};
     std::vector<uint16_t> sorted_symbols_;
+    // lut_[next kLutBits bits] = symbol << 8 | code length; 0 when the
+    // code is longer than kLutBits or the prefix is unused.
+    uint32_t lut_[1u << kLutBits] = {};
 };
 
 } // namespace atc::comp

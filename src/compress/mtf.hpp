@@ -4,7 +4,8 @@
  *
  * Applied after the BWT: local symbol reuse becomes runs of small
  * values (mostly zeros), which the zero-run RLE and the entropy coder
- * then squeeze. Both directions are exact inverses.
+ * then squeeze. Both directions are exact inverses; the whole-buffer
+ * decode is fused with the RLE decode (rleMtfDecode in rle.hpp).
  */
 
 #ifndef ATC_COMPRESS_MTF_HPP_
@@ -12,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace atc::comp {
@@ -27,7 +29,17 @@ class MtfCoder
     uint8_t encode(uint8_t value);
 
     /** Decode one rank back to the byte value, updating the ordering. */
-    uint8_t decode(uint8_t rank);
+    uint8_t
+    decode(uint8_t rank)
+    {
+        uint8_t value = order_[rank];
+        std::memmove(order_ + 1, order_, rank);
+        order_[0] = value;
+        return value;
+    }
+
+    /** @return the value rank 0 decodes to (a zero run's byte). */
+    uint8_t front() const { return order_[0]; }
 
     /** Reset to the identity ordering. */
     void reset();
@@ -38,9 +50,6 @@ class MtfCoder
 
 /** Encode a whole buffer (fresh coder state). */
 std::vector<uint8_t> mtfEncode(const uint8_t *data, size_t n);
-
-/** Decode a whole buffer (fresh coder state). */
-std::vector<uint8_t> mtfDecode(const uint8_t *data, size_t n);
 
 } // namespace atc::comp
 

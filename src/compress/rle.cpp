@@ -62,41 +62,19 @@ rleEncode(const uint8_t *data, size_t n)
 }
 
 std::vector<uint8_t>
-rleDecode(const std::vector<uint16_t> &symbols)
+rleMtfDecode(const std::vector<uint16_t> &symbols, size_t cap)
 {
-    std::vector<uint8_t> out;
-    out.reserve(symbols.size());
-    uint64_t run = 0;
-    uint64_t weight = 1;
-    bool in_run = false;
-    bool saw_eob = false;
-
-    auto flush_run = [&]() {
-        out.insert(out.end(), run, 0);
-        run = 0;
-        weight = 1;
-        in_run = false;
-    };
-
-    for (size_t i = 0; i < symbols.size(); ++i) {
-        uint16_t sym = symbols[i];
-        ATC_CHECK(!saw_eob, "RLE symbols after EOB");
-        if (sym == kRunA || sym == kRunB) {
-            run += weight * (sym == kRunA ? 1 : 2);
-            weight <<= 1;
-            in_run = true;
-        } else if (sym == kEob) {
-            if (in_run)
-                flush_run();
-            saw_eob = true;
-        } else {
-            ATC_CHECK(sym >= 2 && sym <= 256, "invalid RLE symbol");
-            if (in_run)
-                flush_run();
-            out.push_back(static_cast<uint8_t>(sym - 1));
-        }
-    }
-    ATC_CHECK(saw_eob, "RLE stream missing EOB");
+    std::vector<uint8_t> out(cap);
+    size_t counts[256] = {};
+    size_t i = 0;
+    size_t n = rleMtfDecode(
+        [&]() -> unsigned {
+            ATC_CHECK(i < symbols.size(), "RLE stream missing EOB");
+            return symbols[i++];
+        },
+        out.data(), cap, counts);
+    ATC_CHECK(i == symbols.size(), "RLE symbols after EOB");
+    out.resize(n);
     return out;
 }
 

@@ -18,7 +18,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
+
+#include "compress/mtf.hpp"
+#include "util/status.hpp"
 
 namespace atc::comp {
 
@@ -40,13 +44,65 @@ constexpr int kRleAlphabet = 258;
 std::vector<uint16_t> rleEncode(const uint8_t *data, size_t n);
 
 /**
- * Decode run-length symbols back to MTF bytes.
- * Decoding stops at (and consumes) EOB; trailing symbols are an error.
+ * Fused inverse of rleEncode(mtfEncode(x)) — the BWC decoder's one
+ * pass between the entropy decoder and the inverse BWT. Pulls symbols
+ * from @p next until EOB and writes the MTF-decoded bytes straight
+ * into @p out: a RUNA/RUNB run is one memset of the front MTF value,
+ * a literal one MTF step. Every run is checked against the room left
+ * before it is written. @p counts (256 entries, caller-zeroed)
+ * accumulates the byte histogram of the output, which is what
+ * bwtInverse needs.
  *
- * @param symbols encoded stream, must contain exactly one trailing EOB
- * @return the original MTF byte string
+ * @param next   callable returning the next symbol (consumes EOB)
+ * @param out    destination, @p cap bytes
+ * @return bytes written
+ * @throws util::Error when a run or literal overflows @p cap or a
+ *         symbol is outside the alphabet
  */
-std::vector<uint8_t> rleDecode(const std::vector<uint16_t> &symbols);
+template <typename NextSymbol>
+size_t
+rleMtfDecode(NextSymbol &&next, uint8_t *out, size_t cap, size_t *counts)
+{
+    MtfCoder mtf;
+    size_t pos = 0;
+    for (;;) {
+        unsigned sym = next();
+        if (sym <= kRunB) {
+            // Bijective base-2 numeral, least significant digit first.
+            // run >= weight - 1, so bounding run bounds weight too.
+            size_t run = 0;
+            size_t weight = 1;
+            do {
+                run += weight << sym;
+                weight <<= 1;
+                if (run > cap - pos)
+                    util::raise("RLE run overflows the block");
+                sym = next();
+            } while (sym <= kRunB);
+            uint8_t v = mtf.front();
+            std::memset(out + pos, v, run);
+            counts[v] += run;
+            pos += run;
+        }
+        if (sym >= kEob) {
+            if (sym == kEob)
+                return pos;
+            util::raise("invalid RLE symbol");
+        }
+        if (pos == cap)
+            util::raise("RLE literal overflows the block");
+        uint8_t v = mtf.decode(static_cast<uint8_t>(sym - 1));
+        out[pos++] = v;
+        counts[v]++;
+    }
+}
+
+/**
+ * rleMtfDecode over a materialized symbol stream, which must end with
+ * its one EOB; @p cap bounds the output.
+ */
+std::vector<uint8_t> rleMtfDecode(const std::vector<uint16_t> &symbols,
+                                  size_t cap);
 
 } // namespace atc::comp
 

@@ -46,9 +46,6 @@ decodeFrameMetrics()
     return m;
 }
 
-/** Largest credible decompressed frame (far above any block size). */
-constexpr uint64_t kMaxFrameRawSize = uint64_t(1) << 30;
-
 /**
  * Sanity bound on a frame's declared sizes: generous (codecs may
  * expand incompressible blocks) but tight enough that a corrupt varint
@@ -430,6 +427,8 @@ StreamDecompressor::refill()
         return false;
     }
 
+    ATC_CHECK(header - 1 <= kMaxFrameRawSize,
+              "corrupt frame header (implausible frame size)");
     size_t raw_size = static_cast<size_t>(header - 1);
     FrameMetrics &m = decodeFrameMetrics();
     {

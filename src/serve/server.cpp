@@ -646,6 +646,12 @@ TraceServer::handleJob(const Job &job)
         counters_.request_errors.fetch_add(1,
                                            std::memory_order_relaxed);
     }
+    // Release the global heavy count before the response goes out: a
+    // client that reads it and then asks STAT must not see it in flight.
+    if (isHeavy(req.op)) {
+        counters_.inflight_heavy.fetch_sub(1, std::memory_order_relaxed);
+        serveObs().inflight.dec();
+    }
     sendFrame(session, frame);
     Wire status = frameStatus(frame);
     uint64_t total_us = 0;
@@ -826,8 +832,6 @@ void
 TraceServer::finishHeavy(const std::shared_ptr<Session> &session,
                          uint64_t records)
 {
-    counters_.inflight_heavy.fetch_sub(1, std::memory_order_relaxed);
-    serveObs().inflight.dec();
     {
         std::lock_guard<std::mutex> lock(session->adm_mu);
         session->inflight -= 1;

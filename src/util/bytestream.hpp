@@ -90,6 +90,18 @@ class ByteSource
     }
 
     /**
+     * Borrow every byte not yet consumed, in place and without
+     * advancing; @p n receives the count. Returns nullptr when the
+     * source cannot (the stdio default). Consume with skip(): the bit
+     * reader decodes a frame straight off this span.
+     */
+    virtual const uint8_t *peek(size_t &n)
+    {
+        n = 0;
+        return nullptr;
+    }
+
+    /**
      * Ownership token pinning the storage behind view() spans. Holders
      * that outlive this source (pooled decode tasks) must retain it;
      * nullptr means the spans borrow storage this source never owned
@@ -158,6 +170,13 @@ class MemorySource : public ByteSource
         const uint8_t *p = data_ + pos_;
         pos_ += n;
         return p;
+    }
+
+    const uint8_t *
+    peek(size_t &n) override
+    {
+        n = size_ - pos_;
+        return data_ + pos_;
     }
 
     /** @return bytes not yet consumed. */

@@ -105,6 +105,13 @@ class MmapSource : public ByteSource
 
     const uint8_t *view(size_t n) override;
 
+    const uint8_t *
+    peek(size_t &n) override
+    {
+        n = remaining();
+        return file_->data() + pos_;
+    }
+
     std::shared_ptr<const void>
     viewKeepalive() const override
     {

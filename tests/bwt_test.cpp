@@ -9,6 +9,7 @@
 #include <cstring>
 #include <string>
 
+#include "atc/bytesort.hpp"
 #include "compress/bwt.hpp"
 #include "util/status.hpp"
 #include "compress/sais.hpp"
@@ -165,6 +166,160 @@ TEST(Bwt, InverseRejectsBadPrimary)
                  util::Error);
     EXPECT_THROW(comp::bwtInverse(data.data(), data.size(), 4),
                  util::Error);
+}
+
+/**
+ * Reference inverse: the LF-mapping walk over n+1 conceptual rows with
+ * a branch on the sentinel row per byte, kept as the oracle for the
+ * packed-table kernel.
+ */
+std::vector<uint8_t>
+refBwtInverse(const std::vector<uint8_t> &data, uint32_t primary)
+{
+    const size_t n = data.size();
+    if (n == 0)
+        return {};
+    if (primary < 1 || primary > n)
+        util::raise("BWT primary index out of range");
+    std::vector<uint32_t> base(256), running(256, 0);
+    std::vector<uint32_t> cnt(256, 0);
+    for (uint8_t c : data)
+        cnt[c]++;
+    uint32_t sum = 1;
+    for (int c = 0; c < 256; ++c) {
+        base[c] = sum;
+        sum += cnt[c];
+    }
+    std::vector<uint32_t> lf(n + 1);
+    for (size_t i = 0; i <= n; ++i) {
+        if (i == primary)
+            lf[i] = 0;
+        else {
+            uint8_t c = data[i - (i > primary ? 1 : 0)];
+            lf[i] = base[c] + running[c]++;
+        }
+    }
+    std::vector<uint8_t> out(n);
+    uint32_t row = lf[primary];
+    for (size_t k = n; k-- > 0;) {
+        if (row == primary)
+            util::raise("corrupt BWT stream");
+        out[k] = data[row - (row > primary ? 1 : 0)];
+        row = lf[row];
+    }
+    if (row != primary)
+        util::raise("corrupt BWT stream (cycle mismatch)");
+    return out;
+}
+
+/** Invert with an explicit packing width. */
+template <typename Word>
+std::vector<uint8_t>
+inverseWith(const std::vector<uint8_t> &data, size_t primary)
+{
+    size_t counts[256] = {};
+    for (uint8_t c : data)
+        counts[c]++;
+    std::vector<uint8_t> out(data.size());
+    comp::bwtInverseWith<Word>(data.data(), data.size(), primary, counts,
+                               out.data());
+    return out;
+}
+
+/**
+ * Both packings must reproduce @p s from its forward transform, also
+ * when the output overwrites the input (as the BWC decoder does).
+ */
+void
+expectBothWidthsInvert(const std::vector<uint8_t> &s)
+{
+    auto r = comp::bwtForward(s.data(), s.size());
+    EXPECT_EQ(inverseWith<uint32_t>(r.data, r.primary), s);
+    EXPECT_EQ(inverseWith<uint64_t>(r.data, r.primary), s);
+    EXPECT_EQ(refBwtInverse(r.data, r.primary), s);
+
+    size_t counts[256] = {};
+    for (uint8_t c : r.data)
+        counts[c]++;
+    std::vector<uint8_t> in_place = r.data;
+    comp::bwtInverse(in_place.data(), in_place.size(), r.primary, counts,
+                     in_place.data());
+    EXPECT_EQ(in_place, s);
+}
+
+TEST(BwtInverse, AllEqualBlock)
+{
+    expectBothWidthsInvert(std::vector<uint8_t>(5000, 0x7F));
+    expectBothWidthsInvert(std::vector<uint8_t>(1, 0));
+}
+
+TEST(BwtInverse, PrimaryAtOneAndAtN)
+{
+    // Ascending input: suffix 0 is the smallest, so primary = 1.
+    // Descending (or constant) input: suffix 0 is the largest, so
+    // primary = n.
+    std::vector<uint8_t> up, down;
+    for (int i = 0; i < 200; ++i) {
+        up.push_back(static_cast<uint8_t>(i));
+        down.push_back(static_cast<uint8_t>(255 - i));
+    }
+    EXPECT_EQ(comp::bwtForward(up.data(), up.size()).primary, 1u);
+    EXPECT_EQ(comp::bwtForward(down.data(), down.size()).primary,
+              down.size());
+    expectBothWidthsInvert(up);
+    expectBothWidthsInvert(down);
+}
+
+TEST(BwtInverse, RunHeavyBytesortPlanes)
+{
+    // Cache-block addresses clustered in a few regions: the planes the
+    // codec sees, whose transform is almost all long runs.
+    util::Rng rng(41);
+    std::vector<uint64_t> addrs(40'000);
+    uint64_t region = 0x7f0000000000;
+    for (uint64_t &a : addrs) {
+        if (rng.below(64) == 0)
+            region = 0x7f0000000000 + (rng.below(8) << 24);
+        a = (region + (rng.below(1 << 14) << 6));
+    }
+    auto planes = core::bytesortForward(addrs.data(), addrs.size());
+    expectBothWidthsInvert(planes);
+}
+
+TEST(BwtInverse, AgreesWithTheReferenceOnEveryPrimary)
+{
+    // Arbitrary columns, not only forward transforms: for every
+    // primary the kernel must return what the reference returns, or
+    // throw util::Error exactly when it does.
+    util::Rng rng(5);
+    for (int trial = 0; trial < 40; ++trial) {
+        std::vector<uint8_t> data(1 + rng.below(24));
+        for (auto &c : data)
+            c = static_cast<uint8_t>(rng.below(trial % 2 ? 3 : 256));
+        for (uint32_t p = 0; p <= data.size() + 1; ++p) {
+            std::vector<uint8_t> want;
+            bool ref_throws = false;
+            try {
+                want = refBwtInverse(data, p);
+            } catch (const util::Error &) {
+                ref_throws = true;
+            }
+            for (int width = 0; width < 2; ++width) {
+                bool throws = false;
+                std::vector<uint8_t> got;
+                try {
+                    got = width ? inverseWith<uint64_t>(data, p)
+                                : inverseWith<uint32_t>(data, p);
+                } catch (const util::Error &) {
+                    throws = true;
+                }
+                ASSERT_EQ(throws, ref_throws)
+                    << "trial " << trial << " primary " << p;
+                if (!throws)
+                    EXPECT_EQ(got, want);
+            }
+        }
+    }
 }
 
 TEST(SaisCore, HandlesRecursiveCase)

@@ -209,5 +209,91 @@ TEST(Bytesort, SixMsbZeroBlockAddressesSupported)
     EXPECT_EQ(core::bytesortInverse(planes.data(), addrs.size()), addrs);
 }
 
+/**
+ * Reference inverse: replay the encoder's stable sorts on an index
+ * array and OR each plane into place — the oracle for the carry-through
+ * kernel.
+ */
+std::vector<uint64_t>
+refBytesortInverse(const std::vector<uint8_t> &bytes, size_t n)
+{
+    std::vector<uint64_t> addrs(n, 0);
+    std::vector<uint32_t> idx(n), next(n);
+    for (size_t i = 0; i < n; ++i)
+        idx[i] = static_cast<uint32_t>(i);
+    for (int j = 0; j < 8; ++j) {
+        const uint8_t *plane = bytes.data() + static_cast<size_t>(j) * n;
+        for (size_t s = 0; s < n; ++s)
+            addrs[idx[s]] |= static_cast<uint64_t>(plane[s]) << (8 * (7 - j));
+        if (j == 7)
+            break;
+        uint32_t start[256] = {};
+        for (size_t s = 0; s < n; ++s)
+            start[plane[s]]++;
+        uint32_t sum = 0;
+        for (uint32_t &c : start) {
+            uint32_t k = c;
+            c = sum;
+            sum += k;
+        }
+        for (size_t s = 0; s < n; ++s)
+            next[start[plane[s]]++] = idx[s];
+        idx.swap(next);
+    }
+    return addrs;
+}
+
+TEST(BytesortInverse, AllConstantPlanes)
+{
+    std::vector<uint64_t> addrs(777, 0x00007F12345678C0ull);
+    auto planes = core::bytesortForward(addrs.data(), addrs.size());
+    EXPECT_EQ(core::bytesortInverse(planes.data(), addrs.size()), addrs);
+    std::vector<uint64_t> one{0xFEDCBA9876543210ull};
+    planes = core::bytesortForward(one.data(), 1);
+    EXPECT_EQ(core::bytesortInverse(planes.data(), 1), one);
+}
+
+TEST(BytesortInverse, EveryMixOfConstantAndVaryingPlanes)
+{
+    // All 256 subsets of varying byte positions (so 0..8 sorted
+    // passes, both ping-pong parities), against the reference.
+    util::Rng rng(31);
+    for (unsigned mask = 0; mask < 256; ++mask) {
+        size_t n = 1 + rng.below(300);
+        uint64_t fixed = rng.next();
+        std::vector<uint64_t> addrs(n);
+        for (uint64_t &a : addrs) {
+            a = fixed;
+            for (int byte = 0; byte < 8; ++byte) {
+                if (mask & (1u << byte)) {
+                    a &= ~(0xFFull << (8 * byte));
+                    a |= rng.below(mask & 1 ? 3 : 256) << (8 * byte);
+                }
+            }
+        }
+        auto planes = core::bytesortForward(addrs.data(), n);
+        auto got = core::bytesortInverse(planes.data(), n);
+        ASSERT_EQ(got, addrs) << "mask " << mask;
+        ASSERT_EQ(got, refBytesortInverse(planes, n)) << "mask " << mask;
+    }
+}
+
+TEST(BytesortInverse, ArbitraryPlanesMatchTheReference)
+{
+    // Any 8n bytes are a valid bytesort image (the inverse is total):
+    // random planes, including run-heavy ones, must agree exactly.
+    util::Rng rng(32);
+    for (int trial = 0; trial < 30; ++trial) {
+        size_t n = 1 + rng.below(2000);
+        std::vector<uint8_t> planes(8 * n);
+        for (size_t i = 0; i < planes.size(); ++i)
+            planes[i] = static_cast<uint8_t>(
+                trial % 3 == 0 ? rng.next() : (i / 97) % (1 + trial));
+        EXPECT_EQ(core::bytesortInverse(planes.data(), n),
+                  refBytesortInverse(planes, n))
+            << "trial " << trial;
+    }
+}
+
 } // namespace
 } // namespace atc

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for move-to-front recoding and zero-run RLE.
+ * Unit tests for move-to-front recoding, zero-run RLE, and the fused
+ * RLE+MTF decoder, checked against a two-pass reference decode.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,48 @@
 
 namespace atc {
 namespace {
+
+/** Reference zero-run decode: symbols back to MTF ranks. */
+std::vector<uint8_t>
+refRleDecode(const std::vector<uint16_t> &symbols)
+{
+    std::vector<uint8_t> out;
+    uint64_t run = 0;
+    uint64_t weight = 1;
+    for (uint16_t sym : symbols) {
+        if (sym == comp::kRunA || sym == comp::kRunB) {
+            run += weight * (sym == comp::kRunA ? 1 : 2);
+            weight <<= 1;
+            continue;
+        }
+        out.insert(out.end(), run, 0);
+        run = 0;
+        weight = 1;
+        if (sym == comp::kEob)
+            break;
+        out.push_back(static_cast<uint8_t>(sym - 1));
+    }
+    return out;
+}
+
+/** Reference MTF decode, one rank at a time. */
+std::vector<uint8_t>
+refMtfDecode(const std::vector<uint8_t> &ranks)
+{
+    comp::MtfCoder coder;
+    std::vector<uint8_t> out(ranks.size());
+    for (size_t i = 0; i < ranks.size(); ++i)
+        out[i] = coder.decode(ranks[i]);
+    return out;
+}
+
+/** Encode the way the BWC codec does: MTF then zero-run RLE. */
+std::vector<uint16_t>
+mtfRleEncode(const std::vector<uint8_t> &data)
+{
+    auto mtf = comp::mtfEncode(data.data(), data.size());
+    return comp::rleEncode(mtf.data(), mtf.size());
+}
 
 TEST(Mtf, FirstOccurrenceYieldsByteValue)
 {
@@ -44,8 +87,7 @@ TEST(Mtf, EncodeDecodeAreInverse)
     for (auto &b : data)
         b = static_cast<uint8_t>(rng.below(7) * 37);
     auto enc = comp::mtfEncode(data.data(), data.size());
-    auto dec = comp::mtfDecode(enc.data(), enc.size());
-    EXPECT_EQ(dec, data);
+    EXPECT_EQ(refMtfDecode(enc), data);
 }
 
 TEST(Mtf, LocalReuseProducesZeros)
@@ -70,7 +112,7 @@ TEST(Rle, EmptyInputIsJustEob)
     auto symbols = comp::rleEncode(nullptr, 0);
     ASSERT_EQ(symbols.size(), 1u);
     EXPECT_EQ(symbols[0], comp::kEob);
-    EXPECT_TRUE(comp::rleDecode(symbols).empty());
+    EXPECT_TRUE(comp::rleMtfDecode(symbols, 0).empty());
 }
 
 TEST(Rle, NonzeroBytesShiftUp)
@@ -100,7 +142,9 @@ TEST_P(RleRunEncoding, BijectiveBase2)
     std::vector<uint16_t> expected = GetParam().digits;
     expected.push_back(comp::kEob);
     EXPECT_EQ(symbols, expected);
-    EXPECT_EQ(comp::rleDecode(symbols), data);
+    // Rank 0 of the initial MTF order is byte 0: the run decodes to
+    // the same zeros.
+    EXPECT_EQ(comp::rleMtfDecode(symbols, data.size()), data);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -117,7 +161,7 @@ TEST(Rle, LongRunIsLogarithmic)
     std::vector<uint8_t> data(1'000'000, 0);
     auto symbols = comp::rleEncode(data.data(), data.size());
     EXPECT_LE(symbols.size(), 22u); // ~log2(1e6) digits + EOB
-    EXPECT_EQ(comp::rleDecode(symbols), data);
+    EXPECT_EQ(comp::rleMtfDecode(symbols, data.size()), data);
 }
 
 TEST(Rle, MixedContentRoundTrip)
@@ -127,21 +171,82 @@ TEST(Rle, MixedContentRoundTrip)
         std::vector<uint8_t> data(rng.below(3000));
         for (auto &b : data)
             b = rng.below(3) ? 0 : static_cast<uint8_t>(rng.below(256));
-        auto symbols = comp::rleEncode(data.data(), data.size());
-        EXPECT_EQ(comp::rleDecode(symbols), data);
+        EXPECT_EQ(comp::rleMtfDecode(mtfRleEncode(data), data.size()),
+                  data);
     }
 }
 
 TEST(Rle, DecodeRejectsMissingEob)
 {
     std::vector<uint16_t> symbols{5, 6};
-    EXPECT_THROW(comp::rleDecode(symbols), util::Error);
+    EXPECT_THROW(comp::rleMtfDecode(symbols, 16), util::Error);
 }
 
 TEST(Rle, DecodeRejectsTrailingSymbols)
 {
     std::vector<uint16_t> symbols{5, comp::kEob, 6};
-    EXPECT_THROW(comp::rleDecode(symbols), util::Error);
+    EXPECT_THROW(comp::rleMtfDecode(symbols, 16), util::Error);
+}
+
+TEST(Rle, DecodeRejectsSymbolsOutsideTheAlphabet)
+{
+    std::vector<uint16_t> symbols{5, comp::kEob + 1, comp::kEob};
+    EXPECT_THROW(comp::rleMtfDecode(symbols, 16), util::Error);
+}
+
+TEST(Rle, RunsAreBoundedByTheBlock)
+{
+    // 60 RUNB digits declare a run of ~2^61 zeros: rejected before
+    // anything is written, whatever the room left.
+    std::vector<uint16_t> huge(60, comp::kRunB);
+    huge.push_back(comp::kEob);
+    EXPECT_THROW(comp::rleMtfDecode(huge, 1 << 20), util::Error);
+
+    // A run one past the room left, after a literal.
+    std::vector<uint16_t> over{2, comp::kRunA, comp::kRunA, comp::kEob};
+    EXPECT_THROW(comp::rleMtfDecode(over, 3), util::Error);
+    EXPECT_EQ(comp::rleMtfDecode(over, 4).size(), 4u);
+
+    // A literal with no room left.
+    std::vector<uint16_t> lit{comp::kRunB, 2, comp::kEob};
+    EXPECT_THROW(comp::rleMtfDecode(lit, 2), util::Error);
+}
+
+TEST(MtfRle, FusedDecodeMatchesTheTwoPassDecodeOnRandomSymbols)
+{
+    // Arbitrary symbol streams, not only encoder output: runs of any
+    // length and any rank, against the reference RLE then MTF decode.
+    util::Rng rng(29);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<uint16_t> symbols;
+        size_t len = rng.below(400);
+        int digits = 0; // run digits in a row, kept below 2^12 zeros
+        for (size_t i = 0; i < len; ++i) {
+            uint64_t kind = rng.below(4);
+            digits = kind < 2 && digits < 11 ? digits + 1 : 0;
+            if (digits > 0)
+                symbols.push_back(static_cast<uint16_t>(kind));
+            else
+                symbols.push_back(
+                    static_cast<uint16_t>(2 + rng.below(trial % 2 ? 255 : 4)));
+        }
+        symbols.push_back(comp::kEob);
+        std::vector<uint8_t> expect = refMtfDecode(refRleDecode(symbols));
+
+        std::vector<uint8_t> out(expect.size());
+        size_t counts[256] = {};
+        size_t i = 0;
+        size_t n = comp::rleMtfDecode([&] { return symbols[i++]; },
+                                      out.data(), out.size(), counts);
+        ASSERT_EQ(n, expect.size());
+        EXPECT_EQ(out, expect);
+        EXPECT_EQ(i, symbols.size());
+        size_t ref_counts[256] = {};
+        for (uint8_t b : expect)
+            ref_counts[b]++;
+        for (int c = 0; c < 256; ++c)
+            EXPECT_EQ(counts[c], ref_counts[c]) << "byte " << c;
+    }
 }
 
 TEST(MtfRle, PipelineShrinksRepetitiveData)
@@ -158,9 +263,7 @@ TEST(MtfRle, PipelineShrinksRepetitiveData)
     // 100 runs -> ~100 literals + ~100*9 run digits, far below 50000.
     EXPECT_LT(symbols.size(), 2000u);
 
-    auto back = comp::mtfDecode(comp::rleDecode(symbols).data(),
-                                data.size());
-    EXPECT_EQ(back, data);
+    EXPECT_EQ(comp::rleMtfDecode(symbols, data.size()), data);
 }
 
 } // namespace

@@ -9,9 +9,14 @@
 #include <gtest/gtest.h>
 
 #include "atc/atc.hpp"
+#include "atc/bytesort.hpp"
 #include "cache/filter.hpp"
+#include "compress/bwc.hpp"
 #include "compress/codec.hpp"
+#include "compress/huffman.hpp"
+#include "compress/rle.hpp"
 #include "compress/stream.hpp"
+#include "util/bitio.hpp"
 #include "trace/suite.hpp"
 #include "util/rng.hpp"
 
@@ -222,6 +227,158 @@ TEST(Robustness, OversizeBufferLengthIsAnErrorStatus)
         std::vector<uint64_t> out;
         EXPECT_FALSE(cursor->readRange(0, 10, out).ok()) << "n = " << n;
     }
+}
+
+/**
+ * A hand-built BWC block: @p digits RUNB symbols then EOB, i.e. a zero
+ * run of about 2^(digits+1) bytes declared for a small block.
+ */
+std::vector<uint8_t>
+runOverflowBlock(int digits)
+{
+    std::vector<uint8_t> block(4, 0); // CRC, never reached
+    util::VectorSink sink(block);
+    util::writeVarint(sink, 1); // primary
+    std::vector<uint8_t> lengths(comp::kRleAlphabet, 0);
+    lengths[comp::kRunB] = 1;
+    lengths[comp::kEob] = 1;
+    comp::HuffmanEncoder enc(lengths);
+    util::BitWriter bw(sink);
+    enc.writeTable(bw);
+    for (int i = 0; i < digits; ++i)
+        enc.writeSymbol(bw, comp::kRunB);
+    enc.writeSymbol(bw, comp::kEob);
+    bw.alignAndFlush();
+    return block;
+}
+
+/** Writes a prepared payload for its first block, BWC for the rest. */
+class FirstBlockCodec : public comp::Codec
+{
+  public:
+    explicit FirstBlockCodec(std::vector<uint8_t> first)
+        : first_(std::move(first))
+    {}
+    std::string name() const override { return "bwc"; }
+    void
+    compressBlock(const uint8_t *data, size_t n,
+                  util::ByteSink &out) const override
+    {
+        if (!used_) {
+            used_ = true;
+            out.write(first_.data(), first_.size());
+            return;
+        }
+        bwc_.compressBlock(data, n, out);
+    }
+    void
+    decompressBlock(util::ByteSource &in, size_t raw_size,
+                    std::vector<uint8_t> &out) const override
+    {
+        bwc_.decompressBlock(in, raw_size, out);
+    }
+
+  private:
+    std::vector<uint8_t> first_;
+    mutable bool used_ = false;
+    comp::BwcCodec bwc_;
+};
+
+TEST(Robustness, BwcRunOverflowIsAnErrorStatus)
+{
+    // A run past the block must be a util::Error, not a
+    // std::bad_alloc / std::length_error escaping every Status.
+    comp::BwcCodec bwc;
+    for (int digits : {60, 70}) {
+        auto block = runOverflowBlock(digits);
+        util::MemorySource src(block);
+        std::vector<uint8_t> out;
+        EXPECT_THROW(bwc.decompressBlock(src, 4096, out), util::Error)
+            << digits << " digits";
+    }
+
+    // The same block as the first frame of a bwc container, the frame
+    // index, INFO and CRC trailer all consistent.
+    core::AtcOptions opt;
+    opt.mode = core::Mode::Lossless;
+    opt.pipeline.codec = "bwc";
+    opt.pipeline.buffer_addrs = 1000;
+    opt.pipeline.codec_block = 4096;
+    std::vector<uint64_t> trace(5000);
+    util::Rng rng(14);
+    for (uint64_t &a : trace)
+        a = rng.next() >> 8;
+    core::MemoryStore base;
+    {
+        core::AtcWriter w(base, opt);
+        w.write(trace.data(), trace.size());
+        w.close();
+    }
+    std::vector<uint8_t> raw;
+    {
+        util::VectorSink sink(raw);
+        core::TransformEncoder enc(opt.pipeline.transform,
+                                   opt.pipeline.buffer_addrs, sink);
+        enc.write(trace.data(), trace.size());
+        enc.finish();
+    }
+    core::MemoryStore bad;
+    {
+        auto sink = bad.createInfo();
+        sink->write(base.infoBytes().data(), base.infoBytes().size());
+    }
+    {
+        auto sink = bad.createChunk(0);
+        FirstBlockCodec codec(runOverflowBlock(60));
+        comp::StreamCompressor frames(codec, *sink, opt.pipeline.codec_block,
+                                      comp::FrameFormat::Seekable);
+        frames.write(raw.data(), raw.size());
+        frames.finish();
+        util::writeLE<uint32_t>(*sink, frames.crc());
+    }
+
+    auto reader = core::AtcReader::open(bad);
+    ASSERT_TRUE(reader.ok()) << reader.status().message();
+    uint64_t buf[16];
+    EXPECT_FALSE(reader.value()->tryRead(buf, 16).ok());
+    auto cursor = reader.value()->cursor();
+    EXPECT_FALSE(cursor->seek(5).ok());
+    std::vector<uint64_t> out;
+    EXPECT_FALSE(cursor->readRange(0, 10, out).ok());
+}
+
+TEST(Robustness, MutatedBwcFramesDecodeExactlyOrRaise)
+{
+    // Trace-shaped input (bytesort planes of a filtered suite trace)
+    // through every decode kernel: each byte-mutated frame decodes to
+    // the original or raises util::Error; nothing else may escape.
+    auto trace = trace::collectFilteredTrace(
+        trace::benchmarkByName("429.mcf"), 8000, 3);
+    auto planes = core::bytesortForward(trace.data(), trace.size());
+    comp::BwcCodec bwc;
+    std::vector<uint8_t> frame;
+    {
+        util::VectorSink sink(frame);
+        bwc.compressBlock(planes.data(), planes.size(), sink);
+    }
+    util::Rng rng(2024);
+    int rejected = 0;
+    for (int trial = 0; trial < 500; ++trial) {
+        std::vector<uint8_t> bad = frame;
+        int flips = 1 + static_cast<int>(rng.below(3));
+        for (int k = 0; k < flips; ++k)
+            bad[rng.below(bad.size())] ^=
+                static_cast<uint8_t>(1 + rng.below(255));
+        std::vector<uint8_t> out;
+        try {
+            comp::decodeSeekableFrame(bwc, bad.data(), bad.size(),
+                                      planes.size(), out);
+            ASSERT_EQ(out, planes) << "trial " << trial;
+        } catch (const util::Error &) {
+            ++rejected;
+        }
+    }
+    EXPECT_GT(rejected, 400);
 }
 
 TEST(Robustness, InfoBufferSizeOutOfRangeIsAnErrorStatus)

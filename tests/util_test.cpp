@@ -224,6 +224,66 @@ TEST(BitIo, AlignSkipsToByteBoundary)
     EXPECT_EQ(br.readBits(8), 0xABu);
 }
 
+TEST(BitIo, TruncationThrowsFromMemoryAndFromStdio)
+{
+    std::vector<uint8_t> bytes{0xAB, 0xCD};
+    util::MemorySource mem(bytes);
+    util::BitReader mbr(mem);
+    EXPECT_EQ(mbr.readBits(12), 0xABCu);
+    EXPECT_THROW(mbr.readBits(5), util::Error);
+    // The reader leaves a memory source exhausted, like a byte read.
+    EXPECT_EQ(mem.remaining(), 0u);
+
+    std::string path = testing::TempDir() + "bitio_trunc.bin";
+    {
+        util::FileSink file(path);
+        file.write(bytes.data(), bytes.size());
+        file.close();
+    }
+    util::FileSource file(path);
+    util::BitReader fbr(file);
+    EXPECT_EQ(fbr.readBits(12), 0xABCu);
+    EXPECT_THROW(fbr.readBits(5), util::Error);
+    std::remove(path.c_str());
+}
+
+TEST(BitIo, LongStreamsRefillAcrossWords)
+{
+    // Mixed field widths over a stream far longer than the 64-bit
+    // buffer, from memory (word refills) and stdio (byte refills).
+    util::Rng rng(4);
+    std::vector<std::pair<uint32_t, int>> fields(2000);
+    std::vector<uint8_t> out;
+    util::VectorSink sink(out);
+    util::BitWriter bw(sink);
+    for (auto &[value, width] : fields) {
+        width = 1 + static_cast<int>(rng.below(32));
+        value = static_cast<uint32_t>(rng.next()) &
+                static_cast<uint32_t>((uint64_t(1) << width) - 1);
+        bw.writeBits(value, width);
+    }
+    bw.alignAndFlush();
+
+    util::MemorySource mem(out);
+    util::BitReader mbr(mem);
+    for (const auto &[value, width] : fields)
+        ASSERT_EQ(mbr.readBits(width), value);
+    mbr.align();
+    EXPECT_EQ(mem.remaining(), 0u);
+
+    std::string path = testing::TempDir() + "bitio_long.bin";
+    {
+        util::FileSink file(path);
+        file.write(out.data(), out.size());
+        file.close();
+    }
+    util::FileSource file(path);
+    util::BitReader fbr(file);
+    for (const auto &[value, width] : fields)
+        ASSERT_EQ(fbr.readBits(width), value);
+    std::remove(path.c_str());
+}
+
 TEST(BitIo, BitCountTracksPadding)
 {
     std::vector<uint8_t> out;
@@ -256,6 +316,45 @@ TEST(Crc32, IncrementalMatchesOneShot)
     crc.update(data.data(), 400);
     crc.update(data.data() + 400, 600);
     EXPECT_EQ(crc.value(), util::crc32(data.data(), data.size()));
+}
+
+/** Bitwise reflected CRC-32, the oracle for the sliced kernel. */
+uint32_t
+refCrc32(const uint8_t *data, size_t n)
+{
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    return ~c;
+}
+
+TEST(Crc32, SplitUpdatesMatchOneShotAtEveryOffset)
+{
+    util::Rng rng(8);
+    std::vector<uint8_t> store(300);
+    for (auto &b : store)
+        b = static_cast<uint8_t>(rng.next());
+    // Every start alignment 0..7 and every split point 0..16, with
+    // lengths around the 8-byte slicing step.
+    for (size_t align = 0; align < 8; ++align) {
+        for (size_t len : {0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 255}) {
+            const uint8_t *p = store.data() + align;
+            uint32_t want = refCrc32(p, len);
+            ASSERT_EQ(util::crc32(p, len), want)
+                << "align " << align << " len " << len;
+            for (size_t split = 0; split <= 16 && split <= len; ++split) {
+                util::Crc32 crc;
+                crc.update(p, split);
+                crc.update(p + split, len - split);
+                ASSERT_EQ(crc.value(), want)
+                    << "align " << align << " len " << len << " split "
+                    << split;
+            }
+        }
+    }
 }
 
 TEST(Crc32, DetectsSingleBitFlip)
