@@ -30,7 +30,6 @@
 #include "cache/stack_sim.hpp"
 #include "compress/bwt.hpp"
 #include "compress/codec.hpp"
-#include "compress/mtf.hpp"
 #include "compress/rle.hpp"
 #include "compress/stream.hpp"
 #include "trace/suite.hpp"
@@ -116,16 +115,14 @@ main(int argc, char **argv)
     });
 
     // MTF + RLE over the BWT output — the shape they see in the codec.
-    // Decode is one fused pass (symbols -> BWT input).
-    auto mtf = comp::mtfEncode(bwt.data.data(), bwt.data.size());
-    runKernel(rows, "mtf_encode", kBytes, [&] {
-        auto enc = comp::mtfEncode(bwt.data.data(), bwt.data.size());
-        if (enc.size() != bwt.data.size())
-            std::abort();
-    });
-    auto rle = comp::rleEncode(mtf.data(), mtf.size());
-    runKernel(rows, "rle_encode", kBytes, [&] {
-        auto enc = comp::rleEncode(mtf.data(), mtf.size());
+    // Each direction is one fused pass (BWT output <-> symbols).
+    std::vector<uint64_t> freq(comp::kRleAlphabet, 0);
+    auto rle = comp::mtfRleEncode(bwt.data.data(), bwt.data.size(),
+                                  freq.data());
+    runKernel(rows, "mtf_rle_encode", kBytes, [&] {
+        std::vector<uint64_t> f(comp::kRleAlphabet, 0);
+        auto enc =
+            comp::mtfRleEncode(bwt.data.data(), bwt.data.size(), f.data());
         if (enc.size() != rle.size())
             std::abort();
     });
@@ -202,6 +199,11 @@ main(int argc, char **argv)
         core::bytesortForward(filtered.data(), filtered.size());
     const size_t kPlaneBytes = trace_planes.size();
     auto trace_bwt = comp::bwtForward(trace_planes.data(), kPlaneBytes);
+    runKernel(rows, "bwt_forward_trace", kPlaneBytes, [&] {
+        auto r = comp::bwtForward(trace_planes.data(), kPlaneBytes);
+        if (r.primary != trace_bwt.primary)
+            std::abort();
+    });
     runKernel(rows, "bwt_inverse_trace", kPlaneBytes, [&] {
         auto inv = comp::bwtInverse(trace_bwt.data.data(), kPlaneBytes,
                                     trace_bwt.primary);
@@ -210,6 +212,11 @@ main(int argc, char **argv)
     });
     auto trace_compressed =
         comp::compressAll(codec, trace_planes.data(), kPlaneBytes);
+    runKernel(rows, "bwc_compress_trace", kPlaneBytes, [&] {
+        auto c = comp::compressAll(codec, trace_planes.data(), kPlaneBytes);
+        if (c.size() != trace_compressed.size())
+            std::abort();
+    });
     runKernel(rows, "bwc_decompress_trace", kPlaneBytes, [&] {
         auto d = comp::decompressAll(codec, trace_compressed.data(),
                                      trace_compressed.size());

@@ -6,13 +6,9 @@
 namespace atc::core {
 
 AtcWriter::AtcWriter(ChunkStore &store, const AtcOptions &options)
-    : store_(&store), options_(options),
-      codec_(comp::makeCodec(options.pipeline.codec))
+    : codec_(writerCodec(options.pipeline)), store_(&store),
+      options_(options)
 {
-    // writeContainerInfo's limit, enforced up front so a bad spec fails
-    // at construction rather than after everything has been compressed.
-    ATC_CHECK(codec_.spec.size() < 256,
-              "codec spec too long for INFO preamble");
     applyContainerVersion(options_.container_version, options_.pipeline);
     options_.lossy.chunk_params = options_.pipeline;
     if (options_.mode == Mode::Lossless) {
@@ -25,13 +21,11 @@ AtcWriter::AtcWriter(ChunkStore &store, const AtcOptions &options)
 }
 
 AtcWriter::AtcWriter(const std::string &dir, const AtcOptions &options)
-    : owned_store_(std::make_unique<DirectoryStore>(
+    : codec_(writerCodec(options.pipeline)),
+      owned_store_(std::make_unique<DirectoryStore>(
           dir, containerSuffix(options.pipeline.codec))),
-      store_(owned_store_.get()), options_(options),
-      codec_(comp::makeCodec(options.pipeline.codec))
+      store_(owned_store_.get()), options_(options)
 {
-    ATC_CHECK(codec_.spec.size() < 256,
-              "codec spec too long for INFO preamble");
     applyContainerVersion(options_.container_version, options_.pipeline);
     options_.lossy.chunk_params = options_.pipeline;
     if (options_.mode == Mode::Lossless) {

@@ -73,7 +73,8 @@ class AtcWriter : public trace::TraceSink
      * Write into an existing store.
      * @param store destination; must outlive the writer
      * @param options mode and parameters
-     * @throws util::Error on a malformed or unknown codec spec
+     * @throws util::Error on a malformed or unknown codec spec, or a
+     *         codec block above comp::kMaxFrameRawSize
      */
     AtcWriter(ChunkStore &store, const AtcOptions &options);
 
@@ -81,7 +82,8 @@ class AtcWriter : public trace::TraceSink
      * Write into a directory (created if needed), using the codec
      * *name* (never the full spec) as the file suffix — the original
      * tool's layout.
-     * @throws util::Error on a bad codec spec or uncreatable directory
+     * @throws util::Error on a bad codec spec or block (see
+     *         writerCodec) or an uncreatable directory
      */
     AtcWriter(const std::string &dir, const AtcOptions &options);
 
@@ -119,10 +121,12 @@ class AtcWriter : public trace::TraceSink
   private:
     void writeInfo();
 
+    // First, so a rejected codec fails before the store exists (and,
+    // for a directory, before it is created).
+    comp::ConfiguredCodec codec_;
     std::unique_ptr<ChunkStore> owned_store_;
     ChunkStore *store_;
     AtcOptions options_;
-    comp::ConfiguredCodec codec_;
     uint64_t count_ = 0;
     bool closed_ = false;
 

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "util/byte_counts.hpp"
 #include "util/status.hpp"
 
 namespace atc::core {
@@ -19,28 +20,6 @@ topBytes(const uint64_t *a, size_t n, uint8_t *plane)
 }
 
 /**
- * Byte histogram of @p plane, counted into four interleaved tables so
- * a run of equal bytes does not serialize on one counter's
- * store-to-load forwarding.
- */
-void
-planeHistogram(const uint8_t *plane, size_t n, size_t *cnt)
-{
-    uint32_t h[4][256] = {};
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        h[0][plane[i]]++;
-        h[1][plane[i + 1]]++;
-        h[2][plane[i + 2]]++;
-        h[3][plane[i + 3]]++;
-    }
-    for (; i < n; ++i)
-        h[0][plane[i]]++;
-    for (int c = 0; c < 256; ++c)
-        cnt[c] = size_t(h[0][c]) + h[1][c] + h[2][c] + h[3][c];
-}
-
-/**
  * Stable counting sort of addresses by their top byte, shifting each
  * address left by 8 on the way (paper Figure 2's sort_bytes): the next
  * plane to emit is always the top byte.
@@ -50,7 +29,7 @@ sortByTopByte(const uint64_t *src, size_t n, const uint8_t *plane,
               uint64_t *dst)
 {
     size_t cnt[256];
-    planeHistogram(plane, n, cnt);
+    util::byteCounts(plane, n, cnt);
     size_t start[256];
     size_t sum = 0;
     for (int c = 0; c < 256; ++c) {
@@ -135,7 +114,7 @@ bytesortInverse(const uint8_t *bytes, size_t n)
     uint64_t const_bits = 0;
     for (int j = 6; j >= 0; --j) {
         const uint8_t *plane = bytes + static_cast<size_t>(j) * n;
-        planeHistogram(plane, n, cnt[j]);
+        util::byteCounts(plane, n, cnt[j]);
         if (cnt[j][plane[0]] == n)
             const_bits |= static_cast<uint64_t>(plane[0]) << (8 * (7 - j));
         else

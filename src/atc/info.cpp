@@ -68,6 +68,22 @@ readRecord(util::ByteSource &src)
 
 } // namespace
 
+comp::ConfiguredCodec
+writerCodec(const LosslessParams &pipeline)
+{
+    comp::ConfiguredCodec codec = comp::makeCodec(pipeline.codec);
+    // writeContainerInfo's limit, enforced up front so a bad spec fails
+    // at construction rather than after everything has been compressed.
+    ATC_CHECK(codec.spec.size() < 256,
+              "codec spec too long for INFO preamble");
+    const uint64_t block = codec.blockOr(pipeline.codec_block);
+    ATC_CHECK(block <= comp::kMaxFrameRawSize,
+              "codec block of " + std::to_string(block) +
+                  " bytes exceeds the frame limit of " +
+                  std::to_string(comp::kMaxFrameRawSize) + " bytes");
+    return codec;
+}
+
 void
 applyContainerVersion(uint8_t version, LosslessParams &pipeline)
 {

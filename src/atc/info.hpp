@@ -54,6 +54,16 @@ constexpr uint8_t kMinContainerVersion = 1;
 constexpr uint8_t kContainerVersion = 3;
 
 /**
+ * Build a writer's codec from @p pipeline and check it before anything
+ * is created: the canonical spec must fit INFO's preamble (under 256
+ * bytes), and the codec block (the spec's `block=`, else
+ * pipeline.codec_block) must be at most comp::kMaxFrameRawSize, the
+ * largest frame a reader accepts.
+ * @throws util::Error naming the limit exceeded
+ */
+comp::ConfiguredCodec writerCodec(const LosslessParams &pipeline);
+
+/**
  * Map @p version onto the chunk-stream layout knobs of @p pipeline
  * (frame format, CRC trailer presence).
  * @throws util::Error on a version outside the supported range

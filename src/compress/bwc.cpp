@@ -2,7 +2,6 @@
 
 #include "compress/bwt.hpp"
 #include "compress/huffman.hpp"
-#include "compress/mtf.hpp"
 #include "compress/rle.hpp"
 #include "obs/metrics.hpp"
 #include "util/bitio.hpp"
@@ -57,21 +56,17 @@ BwcCodec::compressBlock(const uint8_t *data, size_t n,
     bwt_t.stop();
     util::writeVarint(out, bwt.primary);
 
+    // MTF and zero-run recoding in one pass over the BWT output, which
+    // also counts the symbols for the Huffman code.
     obs::StageTimer mtf_t(m.mtf_rle_us);
-    std::vector<uint8_t> mtf = mtfEncode(bwt.data.data(), bwt.data.size());
-    bwt.data.clear();
-    bwt.data.shrink_to_fit();
-    std::vector<uint16_t> symbols = rleEncode(mtf.data(), mtf.size());
-    mtf.clear();
-    mtf.shrink_to_fit();
+    std::vector<uint64_t> freq(kRleAlphabet, 0);
+    std::vector<uint16_t> symbols =
+        mtfRleEncode(bwt.data.data(), bwt.data.size(), freq.data());
+    bwt.data = {};
     mtf_t.stop();
 
     obs::StageTimer entropy_t(m.entropy_us);
-    std::vector<uint64_t> freq(kRleAlphabet, 0);
-    for (uint16_t s : symbols)
-        freq[s]++;
     HuffmanEncoder enc(freq);
-
     util::BitWriter bw(out);
     enc.writeTable(bw);
     for (uint16_t s : symbols)

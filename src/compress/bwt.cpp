@@ -2,38 +2,9 @@
 
 #include <memory>
 
-#include "compress/sais.hpp"
 #include "util/status.hpp"
 
 namespace atc::comp {
-
-BwtResult
-bwtForward(const uint8_t *data, size_t n)
-{
-    BwtResult result;
-    if (n == 0)
-        return result;
-
-    std::vector<int32_t> sa = suffixArray(data, n);
-
-    // Conceptual matrix rows: row 0 is the sentinel suffix (BWT char is
-    // the last input byte); rows 1..n are the suffixes in sa order, each
-    // contributing the byte preceding it. The row of suffix 0 would
-    // contribute the sentinel itself; it is skipped and recorded.
-    result.data.resize(n);
-    result.data[0] = data[n - 1];
-    size_t out = 1;
-    for (size_t i = 0; i < n; ++i) {
-        if (sa[i] == 0) {
-            result.primary = static_cast<uint32_t>(i + 1);
-        } else {
-            result.data[out++] = data[sa[i] - 1];
-        }
-    }
-    ATC_ASSERT(out == n);
-    ATC_ASSERT(result.primary >= 1 && result.primary <= n);
-    return result;
-}
 
 template <typename Word>
 void

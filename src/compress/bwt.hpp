@@ -28,7 +28,12 @@ struct BwtResult
     uint32_t primary = 0;
 };
 
-/** Forward transform of [data, data+n). */
+/**
+ * Forward transform of [data, data+n): the final induce of the SA-IS
+ * suffix sort (implemented in sais.cpp), which writes each row's byte
+ * instead of its suffix.
+ * @throws util::Error when n >= 2^31
+ */
 BwtResult bwtForward(const uint8_t *data, size_t n);
 
 /**

@@ -121,7 +121,7 @@ HuffmanEncoder::HuffmanEncoder(const std::vector<uint8_t> &lengths)
 void
 HuffmanEncoder::buildCodes()
 {
-    codes_.assign(lengths_.size(), 0);
+    packed_.assign(lengths_.size(), 0);
 
     // Canonical assignment: codes ordered by (length, symbol).
     std::vector<int> order;
@@ -137,9 +137,10 @@ HuffmanEncoder::buildCodes()
     uint32_t code = 0;
     int prev_len = 0;
     for (int sym : order) {
+        ATC_ASSERT(lengths_[sym] <= kMaxCodeLen);
         code <<= (lengths_[sym] - prev_len);
         prev_len = lengths_[sym];
-        codes_[sym] = code++;
+        packed_[sym] = code++ << 8 | lengths_[sym];
     }
 }
 

@@ -50,7 +50,8 @@ class HuffmanEncoder
     void
     writeSymbol(util::BitWriter &bw, int symbol) const
     {
-        bw.writeBits(codes_[symbol], lengths_[symbol]);
+        uint32_t e = packed_[symbol];
+        bw.writeBits(e >> 8, static_cast<int>(e & 0xFF));
     }
 
     /** @return code length per symbol (0 = unused). */
@@ -60,7 +61,9 @@ class HuffmanEncoder
     void buildCodes();
 
     std::vector<uint8_t> lengths_;
-    std::vector<uint32_t> codes_;
+    // packed_[symbol] = canonical code << 8 | code length: one load
+    // per symbol written (codes are at most kMaxCodeLen = 24 bits).
+    std::vector<uint32_t> packed_;
 };
 
 /**

@@ -4,8 +4,9 @@
  *
  * Applied after the BWT: local symbol reuse becomes runs of small
  * values (mostly zeros), which the zero-run RLE and the entropy coder
- * then squeeze. Both directions are exact inverses; the whole-buffer
- * decode is fused with the RLE decode (rleMtfDecode in rle.hpp).
+ * then squeeze. Both directions are exact inverses; whole buffers are
+ * coded fused with the zero-run recoding (mtfRleEncode and
+ * rleMtfDecode in rle.hpp).
  */
 
 #ifndef ATC_COMPRESS_MTF_HPP_
@@ -14,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 namespace atc::comp {
 
@@ -23,10 +23,24 @@ class MtfCoder
 {
   public:
     /** Start from the identity alphabet ordering 0,1,...,255. */
-    MtfCoder();
+    MtfCoder() { reset(); }
 
     /** Encode one byte: emit its rank and move it to the front. */
-    uint8_t encode(uint8_t value);
+    uint8_t
+    encode(uint8_t value)
+    {
+        if (order_[0] == value)
+            return 0;
+        // Locate the rank with a vectorized scan, then shift the prefix
+        // down in one memmove — the table always contains all 256
+        // values, so the search cannot miss.
+        const uint8_t *pos = static_cast<const uint8_t *>(
+            std::memchr(order_, value, sizeof(order_)));
+        size_t rank = static_cast<size_t>(pos - order_);
+        std::memmove(order_ + 1, order_, rank);
+        order_[0] = value;
+        return static_cast<uint8_t>(rank);
+    }
 
     /** Decode one rank back to the byte value, updating the ordering. */
     uint8_t
@@ -42,14 +56,16 @@ class MtfCoder
     uint8_t front() const { return order_[0]; }
 
     /** Reset to the identity ordering. */
-    void reset();
+    void
+    reset()
+    {
+        for (int i = 0; i < 256; ++i)
+            order_[i] = static_cast<uint8_t>(i);
+    }
 
   private:
     uint8_t order_[256];
 };
-
-/** Encode a whole buffer (fresh coder state). */
-std::vector<uint8_t> mtfEncode(const uint8_t *data, size_t n);
 
 } // namespace atc::comp
 

@@ -1,5 +1,6 @@
 #include "compress/rle.hpp"
 
+#include <bit>
 #include <cstring>
 
 #include "util/status.hpp"
@@ -8,57 +9,69 @@ namespace atc::comp {
 
 namespace {
 
-/** Append the bijective base-2 numeral for a run of @p run zeros. */
-void
-emitRun(uint64_t run, std::vector<uint16_t> &out)
+/** Write the bijective base-2 numeral for a run of @p run zeros. */
+uint16_t *
+emitRun(uint64_t run, uint16_t *out, uint64_t *freq)
 {
     // run = sum of digit_i * 2^i with digits in {1 (RUNA), 2 (RUNB)}.
     while (run > 0) {
-        if (run & 1) {
-            out.push_back(kRunA);
-            run = (run - 1) >> 1;
-        } else {
-            out.push_back(kRunB);
-            run = (run - 2) >> 1;
+        uint16_t digit = (run & 1) ? kRunA : kRunB;
+        *out++ = digit;
+        ++freq[digit];
+        run = (run - 1 - digit) >> 1;
+    }
+    return out;
+}
+
+/** Length of the run of @p v starting at data[0], at most @p n. */
+size_t
+runLength(const uint8_t *data, size_t n, uint8_t v)
+{
+    // Runs dominate BWT output; compare a word at a time against the
+    // broadcast byte before falling back to the byte tail.
+    const uint64_t pattern = v * 0x0101010101010101ull;
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        uint64_t w;
+        std::memcpy(&w, data + i, 8);
+        if (uint64_t diff = w ^ pattern) {
+            if constexpr (std::endian::native == std::endian::little)
+                return i + static_cast<size_t>(std::countr_zero(diff) >> 3);
+            else
+                return i + static_cast<size_t>(std::countl_zero(diff) >> 3);
         }
     }
+    while (i < n && data[i] == v)
+        ++i;
+    return i;
 }
 
 } // namespace
 
 std::vector<uint16_t>
-rleEncode(const uint8_t *data, size_t n)
+mtfRleEncode(const uint8_t *data, size_t n, uint64_t *freq)
 {
-    std::vector<uint16_t> out;
-    out.reserve(n / 2 + 16);
-    uint64_t run = 0;
+    std::vector<uint16_t> symbols(n + 1);
+    uint16_t *out = symbols.data();
+    MtfCoder mtf;
     size_t i = 0;
     while (i < n) {
-        if (data[i] == 0) {
-            // MTF output is dominated by zero runs; skip over them a
-            // word at a time before falling back to the byte tail.
-            size_t start = i;
-            ++i;
-            while (i + 8 <= n) {
-                uint64_t w;
-                std::memcpy(&w, data + i, 8);
-                if (w != 0)
-                    break;
-                i += 8;
-            }
-            while (i < n && data[i] == 0)
-                ++i;
-            run += i - start;
+        uint8_t v = data[i];
+        if (v == mtf.front()) {
+            size_t run = runLength(data + i, n - i, v);
+            out = emitRun(run, out, freq);
+            i += run;
             continue;
         }
-        emitRun(run, out);
-        run = 0;
-        out.push_back(static_cast<uint16_t>(data[i]) + 1);
+        uint16_t sym = static_cast<uint16_t>(mtf.encode(v) + 1);
+        *out++ = sym;
+        ++freq[sym];
         ++i;
     }
-    emitRun(run, out);
-    out.push_back(kEob);
-    return out;
+    *out++ = kEob;
+    ++freq[kEob];
+    symbols.resize(static_cast<size_t>(out - symbols.data()));
+    return symbols;
 }
 
 std::vector<uint8_t>

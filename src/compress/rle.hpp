@@ -38,18 +38,27 @@ enum RleSymbol : uint16_t
 constexpr int kRleAlphabet = 258;
 
 /**
- * Recode @p n MTF bytes into run-length symbols.
- * The EOB symbol is appended.
+ * Move-to-front then zero-run recoding of @p n bytes in one pass — the
+ * BWC encoder's step between the forward BWT and the entropy coder.
+ * A zero rank only ever comes from a run of the MTF front byte, so a
+ * run is found by scanning for that byte and emitted as its numeral;
+ * any other byte is one MTF step and one literal symbol. The EOB
+ * symbol is appended.
+ *
+ * @param freq kRleAlphabet caller-zeroed counters; each emitted
+ *             symbol's counter is incremented
+ * @return the symbols, at most n + 1
  */
-std::vector<uint16_t> rleEncode(const uint8_t *data, size_t n);
+std::vector<uint16_t> mtfRleEncode(const uint8_t *data, size_t n,
+                                   uint64_t *freq);
 
 /**
- * Fused inverse of rleEncode(mtfEncode(x)) — the BWC decoder's one
- * pass between the entropy decoder and the inverse BWT. Pulls symbols
- * from @p next until EOB and writes the MTF-decoded bytes straight
- * into @p out: a RUNA/RUNB run is one memset of the front MTF value,
- * a literal one MTF step. Every run is checked against the room left
- * before it is written. @p counts (256 entries, caller-zeroed)
+ * Inverse of mtfRleEncode — the BWC decoder's one pass between the
+ * entropy decoder and the inverse BWT. Pulls symbols from @p next
+ * until EOB and writes the MTF-decoded bytes straight into @p out: a
+ * RUNA/RUNB run is one memset of the front MTF value, a literal one
+ * MTF step. Every run is checked against the room left before it is
+ * written. @p counts (256 entries, caller-zeroed)
  * accumulates the byte histogram of the output, which is what
  * bwtInverse needs.
  *

@@ -1,10 +1,17 @@
 /**
  * @file
- * Linear-time suffix array construction (SA-IS).
+ * Linear-time suffix sorting by induced sorting (SA-IS), and the
+ * Burrows-Wheeler transform built on it.
  *
- * Nong/Zhang/Chan induced-sorting algorithm. This is the engine behind
- * the Burrows-Wheeler transform used by the BWC codec (the stand-in for
- * the paper's bzip2 back end). Complexity is O(n) time and space.
+ * Nong/Zhang/Chan's algorithm in Yuta Mori's sais-lite layout: the top
+ * level reads the byte block itself, suffix types are derived on the
+ * fly from adjacent symbols, LMS substring lengths and names live in
+ * the free half of the suffix array, the reduced string in its tail,
+ * and the final induce can write each row's BWT byte straight into its
+ * slot. bwtForward (bwt.hpp) is that final induce, so the forward BWT
+ * needs the n-word suffix array and its n-byte output, nothing else.
+ * This is the engine behind the BWC codec (the stand-in for the
+ * paper's bzip2 back end); O(n) time.
  */
 
 #ifndef ATC_COMPRESS_SAIS_HPP_
@@ -23,20 +30,11 @@ namespace atc::comp {
  * followed by a sentinel strictly smaller than every byte value.
  *
  * @param data input bytes (may be null when n == 0)
- * @param n    input length
+ * @param n    input length, below 2^31
  * @return permutation sa of [0, n) with suffix sa[0] < suffix sa[1] < ...
+ * @throws util::Error when n >= 2^31
  */
 std::vector<int32_t> suffixArray(const uint8_t *data, size_t n);
-
-/**
- * Core SA-IS recursion over an integer string.
- *
- * @param t  input symbols; t.back() must be 0, the unique minimum
- * @param k  alphabet size (all symbols in [0, k))
- * @param sa output, resized to t.size(); sa[0] is the sentinel suffix
- */
-void saisCore(const std::vector<int32_t> &t, int32_t k,
-              std::vector<int32_t> &sa);
 
 } // namespace atc::comp
 

@@ -53,9 +53,8 @@ class LosslessBlockSink : public util::ByteSink
 ParallelAtcWriter::ParallelAtcWriter(core::ChunkStore &store,
                                      const core::AtcOptions &options,
                                      const ParallelOptions &popt)
-    : store_(&store), options_(options),
-      codec_(comp::makeCodec(options.pipeline.codec)),
-      lookahead_(resolveLookahead(popt)),
+    : codec_(core::writerCodec(options.pipeline)), store_(&store),
+      options_(options), lookahead_(resolveLookahead(popt)),
       pool_(popt.threads, std::max<size_t>(lookahead_, 1))
 {
     init();
@@ -64,10 +63,10 @@ ParallelAtcWriter::ParallelAtcWriter(core::ChunkStore &store,
 ParallelAtcWriter::ParallelAtcWriter(const std::string &dir,
                                      const core::AtcOptions &options,
                                      const ParallelOptions &popt)
-    : owned_store_(std::make_unique<core::DirectoryStore>(
+    : codec_(core::writerCodec(options.pipeline)),
+      owned_store_(std::make_unique<core::DirectoryStore>(
           dir, core::containerSuffix(options.pipeline.codec))),
       store_(owned_store_.get()), options_(options),
-      codec_(comp::makeCodec(options.pipeline.codec)),
       lookahead_(resolveLookahead(popt)),
       pool_(popt.threads, std::max<size_t>(lookahead_, 1))
 {
@@ -77,8 +76,6 @@ ParallelAtcWriter::ParallelAtcWriter(const std::string &dir,
 void
 ParallelAtcWriter::init()
 {
-    ATC_CHECK(codec_.spec.size() < 256,
-              "codec spec too long for INFO preamble");
     core::applyContainerVersion(options_.container_version,
                                 options_.pipeline);
     options_.lossy.chunk_params = options_.pipeline;

@@ -78,7 +78,8 @@ class ParallelAtcWriter : public trace::TraceSink
     /**
      * Write into an existing store. The store is only touched from the
      * caller thread (ordered reassembly), so any ChunkStore works.
-     * @throws util::Error on a malformed or unknown codec spec
+     * @throws util::Error on a malformed or unknown codec spec, or a
+     *         codec block above comp::kMaxFrameRawSize
      */
     ParallelAtcWriter(core::ChunkStore &store,
                       const core::AtcOptions &options,
@@ -139,10 +140,12 @@ class ParallelAtcWriter : public trace::TraceSink
     void dispatchInterval();
     void drainSignatures(size_t keep);
 
+    // First, so a rejected codec fails before the store exists (and,
+    // for a directory, before it is created).
+    comp::ConfiguredCodec codec_;
     std::unique_ptr<core::ChunkStore> owned_store_;
     core::ChunkStore *store_;
     core::AtcOptions options_;
-    comp::ConfiguredCodec codec_;
     size_t lookahead_;
     ThreadPool pool_;
     uint64_t count_ = 0;

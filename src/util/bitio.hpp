@@ -19,7 +19,11 @@
 
 namespace atc::util {
 
-/** MSB-first bit writer accumulating into a ByteSink. */
+/**
+ * MSB-first bit writer accumulating into a ByteSink. Fields collect in
+ * a 64-bit accumulator; every 32 complete bits go to the sink as one
+ * 4-byte write, the rest on alignAndFlush().
+ */
 class BitWriter
 {
   public:
@@ -31,15 +35,15 @@ class BitWriter
     writeBits(uint32_t value, int nbits)
     {
         ATC_ASSERT(nbits >= 0 && nbits <= 32);
-        for (int i = nbits - 1; i >= 0; --i) {
-            acc_ = (acc_ << 1) | ((value >> i) & 1u);
-            if (++fill_ == 8) {
-                sink_.writeByte(static_cast<uint8_t>(acc_));
-                acc_ = 0;
-                fill_ = 0;
-            }
-        }
+        // fill_ < 32 here, so the accumulator keeps every pending bit.
+        uint64_t field = value & ((uint64_t(1) << nbits) - 1);
+        acc_ = acc_ << nbits | field;
+        fill_ += nbits;
         bits_ += static_cast<uint64_t>(nbits);
+        if (fill_ >= 32) {
+            fill_ -= 32;
+            put(static_cast<uint32_t>(acc_ >> fill_), 4);
+        }
     }
 
     /** Append a single bit. */
@@ -49,21 +53,34 @@ class BitWriter
     void
     alignAndFlush()
     {
+        int pad = -fill_ & 7;
+        bits_ += static_cast<uint64_t>(pad);
+        fill_ += pad;
         if (fill_ > 0) {
-            acc_ <<= (8 - fill_);
-            sink_.writeByte(static_cast<uint8_t>(acc_));
-            bits_ += static_cast<uint64_t>(8 - fill_);
-            acc_ = 0;
-            fill_ = 0;
+            // fill_ <= 32: the pending bytes are the low fill_ bits.
+            put(static_cast<uint32_t>(acc_ << pad << (32 - fill_)),
+                fill_ / 8);
         }
+        acc_ = 0;
+        fill_ = 0;
     }
 
     /** @return total bits written (including alignment padding). */
     uint64_t bitCount() const { return bits_; }
 
   private:
+    /** Write the top @p nbytes bytes of @p word, most significant first. */
+    void
+    put(uint32_t word, int nbytes)
+    {
+        uint8_t bytes[4] = {
+            static_cast<uint8_t>(word >> 24), static_cast<uint8_t>(word >> 16),
+            static_cast<uint8_t>(word >> 8), static_cast<uint8_t>(word)};
+        sink_.write(bytes, static_cast<size_t>(nbytes));
+    }
+
     ByteSink &sink_;
-    uint32_t acc_ = 0;
+    uint64_t acc_ = 0;
     int fill_ = 0;
     uint64_t bits_ = 0;
 };

@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "atc/atc.hpp"
+#include "atc/info.hpp"
 #include "cache/filter.hpp"
+#include "parallel/parallel_atc.hpp"
 #include "tcgen/tcgen.hpp"
 #include "trace/pipeline.hpp"
 #include "trace/suite.hpp"
@@ -168,6 +170,57 @@ TEST(CodecSpecContainer, MalformedSpecRejectedAtOpen)
         EXPECT_FALSE(w.ok()) << "spec '" << bad << "'";
         EXPECT_FALSE(w.status().message().empty());
     }
+}
+
+TEST(CodecSpecContainer, OversizedCodecBlockRejectedAtOpen)
+{
+    // Readers reject frames above comp::kMaxFrameRawSize, so both
+    // writers refuse a larger codec block when they open, in either
+    // mode and whether it comes from the spec or the pipeline: a Status
+    // naming the limit, before any buffer is reserved or the directory
+    // is created.
+    const std::string dir = testing::TempDir() + "/atc_oversized_block";
+    fs::remove_all(dir);
+    struct Case
+    {
+        const char *spec;
+        uint64_t codec_block; // 0 keeps smallOptions' block
+    };
+    const Case cases[] = {{"bwc", 1'000'000'000'000},
+                          {"bwc", comp::kMaxFrameRawSize + 1},
+                          {"bwc:block=900g", 0},
+                          {"lzh:block=5g", 0}};
+    for (core::Mode mode : {core::Mode::Lossless, core::Mode::Lossy}) {
+        for (const Case &c : cases) {
+            auto opt = smallOptions(mode);
+            opt.pipeline.codec = c.spec;
+            if (c.codec_block != 0)
+                opt.pipeline.codec_block = c.codec_block;
+            auto expectRejected = [&](const util::Status &st) {
+                ASSERT_FALSE(st.ok()) << c.spec;
+                EXPECT_NE(st.message().find(
+                              "exceeds the frame limit of 1073741824 bytes"),
+                          std::string::npos)
+                    << st.message();
+            };
+            core::MemoryStore store;
+            expectRejected(core::AtcWriter::open(store, opt).status());
+            expectRejected(core::AtcWriter::open(dir, opt).status());
+            expectRejected(
+                parallel::ParallelAtcWriter::open(store, opt, {}).status());
+            expectRejected(
+                parallel::ParallelAtcWriter::open(dir, opt, {}).status());
+            EXPECT_FALSE(fs::exists(dir));
+        }
+    }
+}
+
+TEST(CodecSpecContainer, CodecBlockAtTheFrameLimitIsAccepted)
+{
+    core::LosslessParams at_limit;
+    at_limit.codec_block = comp::kMaxFrameRawSize;
+    EXPECT_EQ(core::writerCodec(at_limit).blockOr(at_limit.codec_block),
+              comp::kMaxFrameRawSize);
 }
 
 TEST(StatusOpen, MissingDirectoryReportsError)

@@ -47,6 +47,15 @@ TEST(SuffixArray, SingleCharacter)
     EXPECT_EQ(sa, std::vector<int32_t>{0});
 }
 
+TEST(SuffixArray, RejectsBlocksOf2To31Bytes)
+{
+    // Suffixes are int32 slots: the length check comes before any
+    // allocation or read, so no 2 GiB buffer is needed to reach it.
+    uint8_t c = 'x';
+    EXPECT_THROW(comp::suffixArray(&c, size_t(1) << 31), util::Error);
+    EXPECT_THROW(comp::bwtForward(&c, size_t(1) << 31), util::Error);
+}
+
 TEST(SuffixArray, Banana)
 {
     std::string s = "banana";
@@ -322,19 +331,101 @@ TEST(BwtInverse, AgreesWithTheReferenceOnEveryPrimary)
     }
 }
 
+/** Forward BWT read off a reference suffix array (bwtForward's rows). */
+comp::BwtResult
+naiveBwt(const std::vector<uint8_t> &s, const std::vector<int32_t> &sa)
+{
+    comp::BwtResult r;
+    if (s.empty())
+        return r;
+    r.data.push_back(s.back());
+    for (size_t i = 0; i < sa.size(); ++i) {
+        if (sa[i] == 0)
+            r.primary = static_cast<uint32_t>(i + 1);
+        else
+            r.data.push_back(s[sa[i] - 1]);
+    }
+    return r;
+}
+
+/** Suffix array and BWT of @p s must match the naive sort. */
+void
+expectMatchesNaive(const std::vector<uint8_t> &s)
+{
+    auto sa = naiveSuffixArray(s);
+    ASSERT_EQ(comp::suffixArray(s.data(), s.size()), sa) << "n " << s.size();
+    auto want = naiveBwt(s, sa);
+    auto got = comp::bwtForward(s.data(), s.size());
+    ASSERT_EQ(got.data, want.data) << "n " << s.size();
+    ASSERT_EQ(got.primary, want.primary) << "n " << s.size();
+}
+
+TEST(SuffixArrayDifferential, EveryLengthUpTo2000)
+{
+    // Each length 1..2000 once, cycling through alphabets of 1, 2, 3
+    // and 256 symbols; small alphabets force the recursion on repeated
+    // LMS substrings, the constant text takes the BWT's shortcut.
+    const uint64_t alphabets[] = {1, 2, 3, 256};
+    util::Rng rng(2000);
+    for (size_t n = 1; n <= 2000; ++n) {
+        const uint64_t k = alphabets[n % 4];
+        std::vector<uint8_t> s(n);
+        for (auto &c : s)
+            c = static_cast<uint8_t>(k == 1 ? 'q' : rng.below(k));
+        expectMatchesNaive(s);
+    }
+}
+
+TEST(SuffixArrayDifferential, PeriodicTextsRecurse)
+{
+    // (bac)^k: every LMS substring but the last is "acba", so the names
+    // repeat and the reduced string is sorted recursively, itself
+    // periodic again. Also with a tail that breaks the period.
+    for (int k = 1; k <= 300; ++k) {
+        std::vector<uint8_t> s;
+        for (int i = 0; i < k; ++i) {
+            s.push_back('b');
+            s.push_back('a');
+            s.push_back('c');
+        }
+        expectMatchesNaive(s);
+        s.push_back('a');
+        expectMatchesNaive(s);
+    }
+    // Nested periods: (x^j y)^k for several run lengths.
+    for (int j = 1; j <= 6; ++j) {
+        std::vector<uint8_t> s;
+        for (int i = 0; i < 200; ++i) {
+            s.insert(s.end(), j, 'x');
+            s.push_back('y');
+        }
+        expectMatchesNaive(s);
+    }
+}
+
+TEST(SuffixArrayDifferential, FullByteRangeAndExtremes)
+{
+    // Symbols 0 and 255 at the edges of the bucket arrays.
+    util::Rng rng(255);
+    for (int trial = 0; trial < 50; ++trial) {
+        std::vector<uint8_t> s(1 + rng.below(1500));
+        for (auto &c : s)
+            c = rng.below(2) ? 0 : 255;
+        expectMatchesNaive(s);
+    }
+}
+
 TEST(SaisCore, HandlesRecursiveCase)
 {
     // A string designed to produce repeated LMS substrings and force
     // the recursive naming path: long repetition of a 3-phase pattern.
-    std::vector<int32_t> t;
+    std::vector<uint8_t> t;
     for (int i = 0; i < 30; ++i) {
         t.push_back(2);
         t.push_back(1);
         t.push_back(3);
     }
-    t.push_back(0); // sentinel
-    std::vector<int32_t> sa;
-    comp::saisCore(t, 4, sa);
+    auto sa = comp::suffixArray(t.data(), t.size());
     ASSERT_EQ(sa.size(), t.size());
     // Verify it is a permutation and correctly ordered.
     std::vector<bool> seen(t.size(), false);
@@ -345,8 +436,8 @@ TEST(SaisCore, HandlesRecursiveCase)
         seen[v] = true;
     }
     for (size_t i = 1; i < sa.size(); ++i) {
-        std::vector<int32_t> a(t.begin() + sa[i - 1], t.end());
-        std::vector<int32_t> b(t.begin() + sa[i], t.end());
+        std::vector<uint8_t> a(t.begin() + sa[i - 1], t.end());
+        std::vector<uint8_t> b(t.begin() + sa[i], t.end());
         EXPECT_TRUE(std::lexicographical_compare(a.begin(), a.end(),
                                                  b.begin(), b.end()));
     }

@@ -8,9 +8,11 @@
 
 #include <string>
 
+#include "atc/bytesort.hpp"
 #include "compress/bwc.hpp"
 #include "compress/lzh.hpp"
 #include "compress/stream.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace atc {
@@ -217,6 +219,115 @@ TEST(Bwc, RandomDataDoesNotExplode)
                                         data.data(), data.size());
     // Huffman on incompressible bytes: bounded overhead.
     EXPECT_LT(compressed.size(), data.size() * 11 / 10);
+}
+
+/** One input of the encoder-output pin below. */
+struct PinnedInput
+{
+    const char *name;
+    std::vector<uint8_t> data;
+};
+
+/**
+ * The pinned inputs: integer-only generators (util::Rng draws, no
+ * libm), so every compiler and platform builds the same bytes.
+ */
+std::vector<PinnedInput>
+pinnedInputs()
+{
+    auto rngBytes = [](uint64_t alphabet, size_t n, uint64_t seed) {
+        util::Rng rng(seed);
+        std::vector<uint8_t> d(n);
+        for (auto &b : d)
+            b = static_cast<uint8_t>(rng.below(alphabet));
+        return d;
+    };
+    std::vector<PinnedInput> in;
+    in.push_back({"alphabet2", rngBytes(2, 200000, 11)});
+    in.push_back({"alphabet4", rngBytes(4, 200000, 12)});
+    in.push_back({"alphabet256", rngBytes(256, 200000, 13)});
+    in.push_back({"constant", std::vector<uint8_t>(300000, 0x5A)});
+    std::vector<uint8_t> two_run(150000, 'a');
+    two_run.resize(300000, 'b');
+    in.push_back({"two_run", std::move(two_run)});
+
+    // Bytesort planes of an address stream with locality: a base that
+    // jumps now and then, small offsets around it.
+    util::Rng rng(14);
+    std::vector<uint64_t> addrs(100000);
+    uint64_t base = 0x10000000;
+    for (auto &a : addrs) {
+        if (rng.below(8) == 0)
+            base = 0x10000000 + (rng.below(16) << 26);
+        a = base + (rng.below(1 << 12) << 6);
+    }
+    in.push_back({"bytesort_planes",
+                  core::bytesortForward(addrs.data(), addrs.size())});
+    in.push_back({"one_byte", {0x42}});
+    // Exactly one default-size block of text-like bytes.
+    std::vector<uint8_t> mib = rngBytes(26, size_t(1) << 20, 15);
+    for (auto &b : mib)
+        b = static_cast<uint8_t>(b + 'a');
+    in.push_back({"one_mib", std::move(mib)});
+    return in;
+}
+
+/** CRC-32 and size of one compressed pinned input. */
+struct Pin
+{
+    uint32_t crc;
+    size_t size;
+};
+
+/** compressAll(@p codec) of each pinned input must match @p pins. */
+void
+expectPinned(const char *codec_name, const std::vector<Pin> &pins)
+{
+    auto inputs = pinnedInputs();
+    ASSERT_EQ(inputs.size(), pins.size());
+    const comp::Codec &codec = comp::codecByName(codec_name);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+        const auto &d = inputs[i].data;
+        auto c = comp::compressAll(codec, d.data(), d.size());
+        EXPECT_EQ(util::crc32(c.data(), c.size()), pins[i].crc)
+            << codec_name << " " << inputs[i].name;
+        EXPECT_EQ(c.size(), pins[i].size)
+            << codec_name << " " << inputs[i].name;
+        EXPECT_EQ(comp::decompressAll(codec, c.data(), c.size()), d)
+            << codec_name << " " << inputs[i].name;
+    }
+}
+
+TEST(Bwc, EncoderOutputBytesArePinned)
+{
+    // Recorded from the textbook SA-IS encoder with the MTF, RLE and
+    // bit-at-a-time writer passes: any kernel rewrite must emit the
+    // same bytes, so containers stay identical across versions.
+    expectPinned("bwc", {
+                            {0xDCDFC1BEu, 30891},  // alphabet2
+                            {0xEC53E54Au, 53583},  // alphabet4
+                            {0x2EAC04F9u, 200259}, // alphabet256
+                            {0x68DD7E45u, 177},    // constant
+                            {0x001C5687u, 179},    // two_run
+                            {0xD8E5826Bu, 210051}, // bytesort_planes
+                            {0x1673F5EAu, 169},    // one_byte
+                            {0x86C8F8FCu, 629143}, // one_mib
+                        });
+}
+
+TEST(Lzh, EncoderOutputBytesArePinned)
+{
+    // LZH shares the Huffman coder and the bit writer.
+    expectPinned("lzh", {
+                            {0xE2AD0B67u, 32277},  // alphabet2
+                            {0x523C43F1u, 59274},  // alphabet4
+                            {0xF3026D89u, 200284}, // alphabet256
+                            {0xBB3B53BAu, 1363},   // constant
+                            {0x8B7877E0u, 1364},   // two_run
+                            {0x4925C983u, 199175}, // bytesort_planes
+                            {0x27F081E6u, 197},    // one_byte
+                            {0x95CEAB63u, 639398}, // one_mib
+                        });
 }
 
 TEST(Bwc, DetectsCorruption)

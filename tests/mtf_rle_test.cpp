@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for move-to-front recoding, zero-run RLE, and the fused
- * RLE+MTF decoder, checked against a two-pass reference decode.
+ * MTF+RLE encoder and RLE+MTF decoder, each checked against a two-pass
+ * reference.
  */
 
 #include <gtest/gtest.h>
@@ -48,12 +49,53 @@ refMtfDecode(const std::vector<uint8_t> &ranks)
     return out;
 }
 
-/** Encode the way the BWC codec does: MTF then zero-run RLE. */
+/** Reference MTF encode, one byte at a time. */
+std::vector<uint8_t>
+refMtfEncode(const std::vector<uint8_t> &data)
+{
+    comp::MtfCoder coder;
+    std::vector<uint8_t> out(data.size());
+    for (size_t i = 0; i < data.size(); ++i)
+        out[i] = coder.encode(data[i]);
+    return out;
+}
+
+/** Reference zero-run encode of MTF ranks, EOB appended. */
+std::vector<uint16_t>
+refRleEncode(const std::vector<uint8_t> &ranks)
+{
+    std::vector<uint16_t> out;
+    uint64_t run = 0;
+    auto flush = [&] {
+        for (; run > 0; run = (run - 1) >> 1) {
+            out.push_back(run & 1 ? comp::kRunA : comp::kRunB);
+            run -= out.back(); // RUNB's digit weighs 2
+        }
+    };
+    for (uint8_t r : ranks) {
+        if (r == 0) {
+            ++run;
+            continue;
+        }
+        flush();
+        out.push_back(static_cast<uint16_t>(r + 1));
+    }
+    flush();
+    out.push_back(comp::kEob);
+    return out;
+}
+
+/** The fused encoder, checking its frequencies against its symbols. */
 std::vector<uint16_t>
 mtfRleEncode(const std::vector<uint8_t> &data)
 {
-    auto mtf = comp::mtfEncode(data.data(), data.size());
-    return comp::rleEncode(mtf.data(), mtf.size());
+    std::vector<uint64_t> freq(comp::kRleAlphabet, 0);
+    auto symbols = comp::mtfRleEncode(data.data(), data.size(), freq.data());
+    std::vector<uint64_t> want(comp::kRleAlphabet, 0);
+    for (uint16_t sym : symbols)
+        want.at(sym)++;
+    EXPECT_EQ(freq, want);
+    return symbols;
 }
 
 TEST(Mtf, FirstOccurrenceYieldsByteValue)
@@ -86,14 +128,13 @@ TEST(Mtf, EncodeDecodeAreInverse)
     std::vector<uint8_t> data(5000);
     for (auto &b : data)
         b = static_cast<uint8_t>(rng.below(7) * 37);
-    auto enc = comp::mtfEncode(data.data(), data.size());
-    EXPECT_EQ(refMtfDecode(enc), data);
+    EXPECT_EQ(refMtfDecode(refMtfEncode(data)), data);
 }
 
 TEST(Mtf, LocalReuseProducesZeros)
 {
     std::vector<uint8_t> data(1000, 7);
-    auto enc = comp::mtfEncode(data.data(), data.size());
+    auto enc = refMtfEncode(data);
     EXPECT_EQ(enc[0], 7);
     for (size_t i = 1; i < enc.size(); ++i)
         EXPECT_EQ(enc[i], 0);
@@ -109,19 +150,22 @@ TEST(Mtf, ResetRestoresIdentity)
 
 TEST(Rle, EmptyInputIsJustEob)
 {
-    auto symbols = comp::rleEncode(nullptr, 0);
+    auto symbols = mtfRleEncode({});
     ASSERT_EQ(symbols.size(), 1u);
     EXPECT_EQ(symbols[0], comp::kEob);
     EXPECT_TRUE(comp::rleMtfDecode(symbols, 0).empty());
 }
 
-TEST(Rle, NonzeroBytesShiftUp)
+TEST(Rle, NonzeroRanksShiftUp)
 {
+    // Ranks 1 and 255 from the identity order; 100 then sits behind
+    // 255, 1, 0 and 2..99, at rank 101.
     std::vector<uint8_t> data{1, 255, 100};
-    auto symbols = comp::rleEncode(data.data(), data.size());
+    auto symbols = mtfRleEncode(data);
+    ASSERT_EQ(symbols.size(), 4u);
     EXPECT_EQ(symbols[0], 2);   // 1 + 1
     EXPECT_EQ(symbols[1], 256); // 255 + 1
-    EXPECT_EQ(symbols[2], 101);
+    EXPECT_EQ(symbols[2], 102); // 101 + 1
     EXPECT_EQ(symbols[3], comp::kEob);
 }
 
@@ -138,7 +182,7 @@ class RleRunEncoding : public testing::TestWithParam<RunCase>
 TEST_P(RleRunEncoding, BijectiveBase2)
 {
     std::vector<uint8_t> data(GetParam().run, 0);
-    auto symbols = comp::rleEncode(data.data(), data.size());
+    auto symbols = mtfRleEncode(data);
     std::vector<uint16_t> expected = GetParam().digits;
     expected.push_back(comp::kEob);
     EXPECT_EQ(symbols, expected);
@@ -159,7 +203,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Rle, LongRunIsLogarithmic)
 {
     std::vector<uint8_t> data(1'000'000, 0);
-    auto symbols = comp::rleEncode(data.data(), data.size());
+    auto symbols = mtfRleEncode(data);
     EXPECT_LE(symbols.size(), 22u); // ~log2(1e6) digits + EOB
     EXPECT_EQ(comp::rleMtfDecode(symbols, data.size()), data);
 }
@@ -249,6 +293,26 @@ TEST(MtfRle, FusedDecodeMatchesTheTwoPassDecodeOnRandomSymbols)
     }
 }
 
+TEST(MtfRle, FusedEncodeMatchesTheTwoPassEncode)
+{
+    // Run-heavy and random inputs, runs of every length around the
+    // word-at-a-time scan's 8-byte steps, bytes 0 and 255 included.
+    util::Rng rng(31);
+    for (int trial = 0; trial < 300; ++trial) {
+        std::vector<uint8_t> data;
+        size_t len = rng.below(2000);
+        while (data.size() < len) {
+            uint8_t v = static_cast<uint8_t>(
+                trial % 3 == 0 ? rng.below(256) : rng.below(4) * 85);
+            size_t run = trial % 2 ? 1 + rng.below(20) : 1;
+            data.insert(data.end(), run, v);
+        }
+        EXPECT_EQ(mtfRleEncode(data), refRleEncode(refMtfEncode(data)));
+        EXPECT_EQ(comp::rleMtfDecode(mtfRleEncode(data), data.size()),
+                  data);
+    }
+}
+
 TEST(MtfRle, PipelineShrinksRepetitiveData)
 {
     // BWT-like data: long runs of the same byte.
@@ -258,8 +322,7 @@ TEST(MtfRle, PipelineShrinksRepetitiveData)
         for (int i = 0; i < 500; ++i)
             data.push_back(value);
     }
-    auto mtf = comp::mtfEncode(data.data(), data.size());
-    auto symbols = comp::rleEncode(mtf.data(), mtf.size());
+    auto symbols = mtfRleEncode(data);
     // 100 runs -> ~100 literals + ~100*9 run digits, far below 50000.
     EXPECT_LT(symbols.size(), 2000u);
 
