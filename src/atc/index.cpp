@@ -343,41 +343,66 @@ AtcIndex::decodedBuffers(uint64_t b0, uint64_t b1, parallel::ThreadPool *pool,
         return layout.frameContaining(bufferRawEnd(b) - 1);
     };
 
-    std::vector<BlockCache<uint64_t>::Ptr> units(b1 - b0 + 1);
+    // Each buffer is a hit, a join of another thread's in-flight
+    // decode, or claimed for this call to decode.
+    using Cache = BlockCache<uint64_t>;
+    std::vector<Cache::Ptr> units(b1 - b0 + 1);
     std::vector<uint64_t> missing;
-    for (uint64_t b = b0; b <= b1; ++b)
-        if (!(units[b - b0] = cache_.get(b)))
+    std::vector<Cache::Claim> claims;
+    std::vector<std::pair<uint64_t, Cache::Wait>> joined;
+    for (uint64_t b = b0; b <= b1; ++b) {
+        Cache::Load l = cache_.load(b);
+        if (l.block) {
+            units[b - b0] = std::move(l.block);
+        } else if (l.wait.valid()) {
+            joined.emplace_back(b, std::move(l.wait));
+        } else {
             missing.push_back(b);
-
-    // Misses decode in runs: consecutive buffers, and buffers whose
-    // covering frames meet across a resident one, share a single pass
-    // over their frames, so a boundary frame is never decoded twice.
-    for (size_t i = 0; i < missing.size();) {
-        size_t j = i + 1;
-        while (j < missing.size() &&
-               (missing[j] == missing[j - 1] + 1 ||
-                firstFrame(missing[j]) <= lastFrame(missing[j - 1])))
-            ++j;
-        size_t fa = firstFrame(missing[i]);
-        std::vector<uint8_t> raw =
-            decodeFrameSpan(fa, lastFrame(missing[j - 1]), pool, carry);
-        for (; i < j; ++i) {
-            uint64_t b = missing[i];
-            size_t off =
-                static_cast<size_t>(bufferRawOffset(b) - layout.raw_starts[fa]);
-            util::MemorySource header(raw.data() + off, raw.size() - off);
-            uint64_t n = util::readVarint(header);
-            ATC_CHECK(n == bufferLen(b),
-                      "corrupt container: transform buffer " +
-                          std::to_string(b) + " declares " +
-                          std::to_string(n) + " records, expected " +
-                          std::to_string(bufferLen(b)));
-            units[b - b0] = cache_.put(
-                b, inverseTransform(info_.pipeline.transform,
-                                    raw.data() + off + util::varintLen(n),
-                                    static_cast<size_t>(n)));
+            claims.push_back(std::move(l.claim));
         }
     }
+
+    // Claimed buffers decode in runs: consecutive buffers, and buffers
+    // whose covering frames meet across a resident or joined one,
+    // share a single pass over their frames, so a boundary frame is
+    // never decoded twice.
+    try {
+        for (size_t i = 0; i < missing.size();) {
+            size_t j = i + 1;
+            while (j < missing.size() &&
+                   (missing[j] == missing[j - 1] + 1 ||
+                    firstFrame(missing[j]) <= lastFrame(missing[j - 1])))
+                ++j;
+            size_t fa = firstFrame(missing[i]);
+            std::vector<uint8_t> raw =
+                decodeFrameSpan(fa, lastFrame(missing[j - 1]), pool, carry);
+            for (; i < j; ++i) {
+                uint64_t b = missing[i];
+                size_t off = static_cast<size_t>(bufferRawOffset(b) -
+                                                 layout.raw_starts[fa]);
+                util::MemorySource header(raw.data() + off, raw.size() - off);
+                uint64_t n = util::readVarint(header);
+                ATC_CHECK(n == bufferLen(b),
+                          "corrupt container: transform buffer " +
+                              std::to_string(b) + " declares " +
+                              std::to_string(n) + " records, expected " +
+                              std::to_string(bufferLen(b)));
+                units[b - b0] = claims[i].publish(inverseTransform(
+                    info_.pipeline.transform,
+                    raw.data() + off + util::varintLen(n),
+                    static_cast<size_t>(n)));
+            }
+        }
+    } catch (const std::exception &e) {
+        for (Cache::Claim &claim : claims)
+            if (claim)
+                claim.fail(e.what());
+        throw;
+    }
+    // Wait on other threads' decodes only once every claim of this
+    // call is resolved, so two callers never wait on each other.
+    for (auto &[b, wait] : joined)
+        units[b - b0] = wait.get();
     return units;
 }
 
@@ -602,17 +627,20 @@ AtcCursor::prefetchLossyChunks(uint64_t begin, uint64_t end)
     size_t i0 = recordContaining(starts, begin);
     size_t i1 = recordContaining(starts, end - 1);
 
-    // Plan only as many distinct missing chunks as the cache can
+    // Plan only as many distinct covering chunks as the cache can
     // retain: a chunk the budget cannot hold would be decoded on the
-    // pool, dropped unstored by put(), and decoded a second time by
-    // the assembly loop — worse than no prefetch. Whatever is skipped
+    // pool, dropped unstored, and decoded a second time by the
+    // assembly loop — worse than no prefetch. Whatever is skipped
     // here simply decodes on demand, exactly once. The planning is
     // exact because the cache is one LRU (planned inserts go to its
     // front, so they evict stale residents, never each other) and an
     // interval's length equals its chunk's decoded length (validated
-    // on read).
+    // on read). Resident chunks count against the budget too: the
+    // load() refreshes them, so planned inserts cannot evict them
+    // mid-assembly.
     BlockCache<uint64_t> &cache = index_->cache();
-    std::vector<uint32_t> ids, counted;
+    std::vector<uint32_t> counted;
+    std::vector<std::pair<uint32_t, BlockCache<uint64_t>::Claim>> claims;
     uint64_t budget = cache.capacityBytes();
     uint64_t planned = 0;
     for (size_t i = i0; i <= i1; ++i) {
@@ -621,42 +649,37 @@ AtcCursor::prefetchLossyChunks(uint64_t begin, uint64_t end)
             counted.end())
             continue;
         uint64_t bytes = records[i].length * sizeof(uint64_t);
-        if (cache.get(id) != nullptr) {
-            // Already-resident covering chunk: the get() refreshed it
-            // to the LRU front, and counting it against the budget
-            // keeps planned inserts from evicting it mid-assembly.
-            counted.push_back(id);
-            planned += bytes;
-            continue;
-        }
         if (planned + bytes > budget)
             continue;
         counted.push_back(id);
-        ids.push_back(id);
         planned += bytes;
+        // Resident, or being decoded by another thread (the assembly
+        // loop joins it): only claimed chunks are decoded here.
+        BlockCache<uint64_t>::Load l = cache.load(id);
+        if (l.claim)
+            claims.emplace_back(id, std::move(l.claim));
     }
 
-    struct Pending
-    {
-        uint32_t id;
-        std::future<std::vector<uint64_t>> decoded;
-    };
-    std::deque<Pending> pending;
+    // Each task resolves its claim, so a failed decode reaches every
+    // thread waiting on that chunk and leaves no entry behind.
+    std::deque<std::future<void>> pending;
     ChunkStore *store = &index_->store();
-    for (uint32_t id : ids)
-        pending.push_back(
-            {id, pool_->async([store, id,
-                               params = index_->info().pipeline]() {
-                 return decodeChunkPayload(params, *store, id);
-             })});
+    for (auto &[id, claim] : claims)
+        pending.push_back(pool_->async(
+            [store, id = id, claim = std::move(claim),
+             params = index_->info().pipeline]() mutable {
+                claim.run([&] {
+                    return decodeChunkPayload(params, *store, id);
+                });
+            }));
     // Drain every future even when one decode fails: the tasks borrow
     // the store through a raw pointer, and an abandoned future would
     // leave a queued task free to run after the index — and the store
     // it may own — is gone.
     std::exception_ptr error;
-    for (Pending &p : pending) {
+    for (auto &p : pending) {
         try {
-            cache.put(p.id, p.decoded.get());
+            p.get();
         } catch (...) {
             if (!error)
                 error = std::current_exception();
@@ -674,45 +697,32 @@ AtcCursor::rangeLossy(uint64_t begin, uint64_t end,
     // covering the range (whole chunks — the lossy unit of decode) and
     // slice. The covering chunks are pool-decoded into the shared
     // cache first, so the cursor's decoder below mostly assembles from
-    // cache hits; its position is restored afterwards.
+    // cache hits. The streaming position is restored lazily: the
+    // decoder is parked on the saved interval and in-interval skip,
+    // which only the next read() regenerates — a following seek or
+    // range never pays for it. The restore is a pure state reset, so
+    // tell() stays exact even when the extraction fails.
     prefetchLossyChunks(begin, end);
     const std::vector<uint64_t> &starts = index_->recordStarts();
-    uint64_t save = pos_;
-
-    auto read = [this](uint64_t *o, size_t n) {
-        return lossy_->read(o, n);
-    };
-    try {
-        size_t i0 = recordContaining(starts, begin);
-        lossy_->seekRecord(i0);
-        discardRecords(read, begin - starts[i0],
-                       "container truncated inside the range");
-        out.resize(static_cast<size_t>(end - begin));
-        fillRecords(read, out, "container truncated inside the range");
-
-        // Restore the streaming position (boundary + in-interval skip).
-        if (save == index_->size()) {
+    auto park = [&](uint64_t rec) {
+        if (rec == index_->size()) {
             lossy_->seekRecord(index_->info().records.size());
             return;
         }
-        size_t ri = recordContaining(starts, save);
-        lossy_->seekRecord(ri);
-        discardRecords(read, save - starts[ri],
-                       "container truncated restoring the cursor");
+        size_t i = recordContaining(starts, rec);
+        lossy_->seekRecord(i, rec - starts[i]);
+    };
+    try {
+        park(begin);
+        out.resize(static_cast<size_t>(end - begin));
+        fillRecords([this](uint64_t *o,
+                           size_t n) { return lossy_->read(o, n); },
+                    out, "container truncated inside the range");
     } catch (...) {
-        // Keep tell() truthful when the extraction (or the exact
-        // restore) fails mid-way: park the decoder on the boundary of
-        // the interval containing the saved position — a pure state
-        // reset that cannot itself fail — and move pos_ there too.
-        if (save == index_->size()) {
-            lossy_->seekRecord(index_->info().records.size());
-        } else {
-            size_t ri = recordContaining(starts, save);
-            lossy_->seekRecord(ri);
-            pos_ = starts[ri];
-        }
+        park(pos_);
         throw;
     }
+    park(pos_);
 }
 
 util::Status

@@ -75,12 +75,14 @@ struct CursorOptions
 /** Knobs of the snapshot built by AtcIndex::open(). */
 struct IndexOptions
 {
-    /** Budget of the shared decoded-record cache, in bytes (0 disables
-     *  it). The cache holds decoded records per decode unit: a lossless
-     *  v3 transform buffer keyed by buffer number, or a lossy chunk
-     *  keyed by chunk id. Every cursor minted from the index reads
-     *  through the same cache, so a seek or range over resident units
-     *  is a copy — no codec decode, no inverse transform. */
+    /** Budget of the shared decoded-record cache, in bytes. The cache
+     *  holds decoded records per decode unit: a lossless v3 transform
+     *  buffer keyed by buffer number, or a lossy chunk keyed by chunk
+     *  id. Every cursor minted from the index reads through the same
+     *  cache, so a seek or range over resident units is a copy — no
+     *  codec decode, no inverse transform. A budget of 0 retains
+     *  nothing but still coalesces concurrent decodes: cursors missing
+     *  on one unit at once share a single decode of it. */
     size_t cache_bytes = kDefaultDecodedCacheBytes;
 };
 
@@ -193,9 +195,10 @@ class AtcIndex : public std::enable_shared_from_this<AtcIndex>
      * through the shared cache. A miss fetches the frames covering the
      * buffer (zero-copy on mapped chunks, decoded on @p pool when one
      * is given), checks the buffer's declared length against
-     * bufferLen(@p b), runs the inverse transform and inserts the
-     * result. @p carry, when given, supplies and receives the boundary
-     * frame shared with the neighbouring buffer.
+     * bufferLen(@p b), runs the inverse transform and publishes the
+     * result; a miss on a buffer another thread is decoding waits for
+     * that decode instead. @p carry, when given, supplies and receives
+     * the boundary frame shared with the neighbouring buffer.
      * @throws util::Error on corrupt or truncated data
      */
     BlockCache<uint64_t>::Ptr

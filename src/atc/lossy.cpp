@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/status.hpp"
@@ -222,10 +223,12 @@ LossyDecoder::LossyDecoder(const LossyParams &params, ChunkStore &store,
 }
 
 void
-LossyDecoder::seekRecord(size_t record_idx)
+LossyDecoder::seekRecord(size_t record_idx, uint64_t skip)
 {
     ATC_ASSERT(record_idx <= records_->size());
+    ATC_ASSERT(skip == 0 || skip < (*records_)[record_idx].length);
     record_idx_ = record_idx;
+    skip_ = skip;
     interval_.clear();
     pos_ = 0;
 }
@@ -237,11 +240,9 @@ LossyDecoder::loadChunk(uint32_t id)
     // pinned pointer skips even the cache's shard lock.
     if (current_chunk_ && current_id_ == id)
         return *current_chunk_;
-    ChunkCache::Ptr chunk = cache_->get(id);
-    if (!chunk)
-        chunk = cache_->put(
-            id, decodeChunkPayload(params_.chunk_params, store_, id));
-    current_chunk_ = std::move(chunk);
+    current_chunk_ = cache_->getOrLoad(id, [&] {
+        return decodeChunkPayload(params_.chunk_params, store_, id);
+    });
     current_id_ = id;
     return *current_chunk_;
 }
@@ -251,10 +252,14 @@ LossyDecoder::nextInterval()
 {
     if (record_idx_ >= records_->size())
         return false;
-    const IntervalRecord &rec = (*records_)[record_idx_++];
+    // The position (record_idx_, skip_) moves only once the chunk has
+    // loaded and checked out, so a read retried after a failed load
+    // regenerates the same interval at the same skip.
+    const IntervalRecord &rec = (*records_)[record_idx_];
     const std::vector<uint64_t> &chunk = loadChunk(rec.chunk_id);
     ATC_CHECK(chunk.size() == rec.length,
               "interval record length mismatch");
+    ++record_idx_;
 
     interval_.resize(rec.length);
     if (rec.kind == IntervalRecord::Kind::Chunk ||
@@ -264,7 +269,7 @@ LossyDecoder::nextInterval()
         for (size_t i = 0; i < chunk.size(); ++i)
             interval_[i] = rec.trans.apply(chunk[i]);
     }
-    pos_ = 0;
+    pos_ = static_cast<size_t>(std::exchange(skip_, 0));
     return true;
 }
 

@@ -220,12 +220,14 @@ class LossyDecoder
     bool decode(uint64_t *out) { return read(out, 1) == 1; }
 
     /**
-     * Reposition so the next read() starts at the beginning of
+     * Reposition so the next read() starts @p skip records into
      * interval record @p record_idx (== records().size() positions at
-     * end of trace). The decompressed-chunk cache is kept — seeking
-     * around a working set of imitated intervals stays cheap.
+     * end of trace). Nothing is decoded here: the interval is
+     * regenerated, and the skip applied, by the next read(). The
+     * decompressed-chunk cache is kept — seeking around a working set
+     * of imitated intervals stays cheap.
      */
-    void seekRecord(size_t record_idx);
+    void seekRecord(size_t record_idx, uint64_t skip = 0);
 
     /** @return the interval trace driving this decoder. */
     const std::vector<IntervalRecord> &records() const { return *records_; }
@@ -253,6 +255,8 @@ class LossyDecoder
 
     std::vector<uint64_t> interval_;
     size_t pos_ = 0;
+    /** Records of the next regenerated interval that read() skips. */
+    uint64_t skip_ = 0;
 };
 
 } // namespace atc::core

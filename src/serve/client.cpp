@@ -66,8 +66,10 @@ ServeClient::receive(ClientResponse &out)
         out.error = resp.text();
         return util::Status();
     }
-    const uint8_t *body = resp.body.data();
-    size_t n = resp.body.size();
+    // Records are decoded straight out of the payload; they sit at
+    // payload offsets 12 (READ_RANGE) and 20 (SEEK), never 8-aligned.
+    const uint8_t *body = resp.body;
+    size_t n = resp.body_len;
     switch (resp.op) {
     case Op::Ping:
     case Op::Close:
@@ -93,8 +95,7 @@ ServeClient::receive(ClientResponse &out)
             return util::Status::error(
                 "SEEK record payload disagrees with its count");
         out.records.resize(count);
-        for (uint32_t i = 0; i < count; ++i)
-            out.records[i] = getU64(body + 12 + 8ull * i);
+        getU64s(body + 12, count, out.records.data());
         break;
     }
     case Op::ReadRange: {
@@ -105,8 +106,7 @@ ServeClient::receive(ClientResponse &out)
             return util::Status::error(
                 "READ_RANGE record payload disagrees with its count");
         out.records.resize(count);
-        for (uint32_t i = 0; i < count; ++i)
-            out.records[i] = getU64(body + 4 + 8ull * i);
+        getU64s(body + 4, count, out.records.data());
         break;
     }
     }

@@ -1,5 +1,8 @@
 #include "serve/protocol.hpp"
 
+#include <bit>
+#include <cstring>
+
 namespace atc::serve {
 
 const char *
@@ -112,6 +115,31 @@ getU64(const uint8_t *p)
     for (int i = 0; i < 8; ++i)
         v |= static_cast<uint64_t>(p[i]) << (8 * i);
     return v;
+}
+
+void
+putU64s(std::vector<uint8_t> &out, const uint64_t *v, size_t n)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        const auto *bytes = reinterpret_cast<const uint8_t *>(v);
+        out.insert(out.end(), bytes, bytes + 8 * n);
+    } else {
+        out.reserve(out.size() + 8 * n);
+        for (size_t i = 0; i < n; ++i)
+            putU64(out, v[i]);
+    }
+}
+
+void
+getU64s(const uint8_t *p, size_t n, uint64_t *out)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        if (n != 0)
+            std::memcpy(out, p, 8 * n);
+    } else {
+        for (size_t i = 0; i < n; ++i)
+            out[i] = getU64(p + 8 * i);
+    }
 }
 
 namespace {
@@ -277,7 +305,8 @@ parseResponse(const uint8_t *payload, size_t n, Response &out)
     out.op = static_cast<Op>(payload[1]);
     out.status = static_cast<Wire>(getU16(payload + 2));
     out.request_id = getU32(payload + 4);
-    out.body.assign(payload + kHeaderLen, payload + n);
+    out.body = payload + kHeaderLen;
+    out.body_len = n - kHeaderLen;
     return true;
 }
 

@@ -113,6 +113,14 @@ uint16_t getU16(const uint8_t *p);
 uint32_t getU32(const uint8_t *p);
 uint64_t getU64(const uint8_t *p);
 
+/** Append @p n records as packed little-endian u64s: one bulk copy on
+ *  little-endian hosts, putU64 per record elsewhere. */
+void putU64s(std::vector<uint8_t> &out, const uint64_t *v, size_t n);
+
+/** Decode @p n packed little-endian u64s at @p p, which need not be
+ *  8-byte aligned, into @p out. */
+void getU64s(const uint8_t *p, size_t n, uint64_t *out);
+
 // ---- request encoding (client side) --------------------------------
 
 /** Append the framed request for @p req to @p out (length prefix,
@@ -154,18 +162,22 @@ struct Response
     Op op = Op::Ping;
     Wire status = Wire::kOk;
     uint32_t request_id = 0;
-    std::vector<uint8_t> body;
+    /** The body: a view into the parsed payload, valid while the
+     *  payload is. */
+    const uint8_t *body = nullptr;
+    size_t body_len = 0;
 
     /** @return the body interpreted as a UTF-8 string (error message
      *  or STAT text). */
     std::string text() const
     {
-        return std::string(body.begin(), body.end());
+        return std::string(reinterpret_cast<const char *>(body), body_len);
     }
 };
 
 /**
- * Parse a response payload (the bytes after the length prefix).
+ * Parse a response payload (the bytes after the length prefix); the
+ * body is not copied (see Response::body).
  * @return false when the payload is too short to carry a header
  */
 bool parseResponse(const uint8_t *payload, size_t n, Response &out);

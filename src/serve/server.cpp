@@ -320,9 +320,15 @@ TraceServer::pollOnce()
             continue;
         // Backpressure: a session with too many unadmitted requests is
         // not read — the flood backs up into its TCP window instead of
-        // this process's memory.
-        if (session->pendingSize() >= opt_.max_pending_per_client)
-            continue;
+        // this process's memory. Its queue shrinks only when a worker
+        // admits from it, so ask finished requests for a wakeup, then
+        // look again: a shrink before the flag was set shows here, one
+        // after it triggers the wakeup.
+        if (session->pendingSize() >= opt_.max_pending_per_client) {
+            wake_wanted_.store(true);
+            if (session->pendingSize() >= opt_.max_pending_per_client)
+                continue;
+        }
         fds.push_back({session->sock.fd(), POLLIN, 0});
         polled.push_back(session);
     }
@@ -517,11 +523,12 @@ void
 TraceServer::admitLocked(Session &session)
 {
     while (!session.pending.empty()) {
-        Request &req = session.pending.front();
-        if (isHeavy(req.op)) {
+        const Request &req = session.pending.front();
+        bool heavy = isHeavy(req.op);
+        uint64_t rec = req.records();
+        if (heavy) {
             if (session.inflight >= opt_.max_inflight_per_client)
                 break;
-            uint64_t rec = req.records();
             // A single in-budget request must always be able to run;
             // the records budget only gates *additional* pipelined
             // work on top of it.
@@ -529,23 +536,35 @@ TraceServer::admitLocked(Session &session)
                 session.inflight_records + rec >
                     opt_.max_inflight_records_per_client)
                 break;
-            Job job{session.shared_from_this(), req};
-            if (!jobs_.tryPush(std::move(job)))
-                break; // global queue full; retried on next wakeup
+        }
+        if (!pushJob(session, req))
+            break; // global queue full; retried on the next wakeup
+        if (heavy) {
             session.inflight += 1;
             session.inflight_records += rec;
             counters_.inflight_heavy.fetch_add(
                 1, std::memory_order_relaxed);
             serveObs().inflight.inc();
-            serveObs().queue_depth.inc();
-        } else {
-            Job job{session.shared_from_this(), req};
-            if (!jobs_.tryPush(std::move(job)))
-                break;
-            serveObs().queue_depth.inc();
         }
+        serveObs().queue_depth.inc();
         session.pending.pop_front();
     }
+}
+
+bool
+TraceServer::pushJob(Session &session, const Request &req)
+{
+    auto push = [&] {
+        return jobs_.tryPush(Job{session.shared_from_this(), req});
+    };
+    if (push())
+        return true;
+    // The queue is full: ask finished requests for a wakeup, then
+    // retry once. A slot freed before the flag was set is caught by
+    // the retry; one freed after it is popped by a worker whose
+    // request finishes later and sees the flag.
+    wake_wanted_.store(true);
+    return push();
 }
 
 void
@@ -668,9 +687,12 @@ TraceServer::handleJob(const Job &job)
          wireName(status),
          static_cast<unsigned long long>(total_us));
     if (isHeavy(req.op))
-        finishHeavy(job.session, req.records());
-    else
-        wakeIo(); // a drained slot may unblock globally-parked work
+        finishHeavy(*job.session, req.records());
+    // Wake the I/O thread only when admission left work parked on it:
+    // the slot this request drained may admit another session's work,
+    // and finishHeavy may have shrunk a paused session's queue.
+    if (wake_wanted_.exchange(false))
+        wakeIo();
     if (req.op == Op::Shutdown)
         requestStop();
 }
@@ -738,17 +760,19 @@ TraceServer::executeSeek(Session &session, const Request &req,
         return;
     }
     uint64_t actual = handle->cursor->tell();
-    std::vector<uint64_t> records(req.count);
-    size_t n = req.count == 0
+    // Size the buffer to the records actually left, not to req.count
+    // (up to max_range_records): a SEEK near the end of the trace must
+    // not zero-fill records it will never send.
+    std::vector<uint64_t> records(static_cast<size_t>(std::min<uint64_t>(
+        req.count, handle->cursor->size() - actual)));
+    size_t n = records.empty()
                    ? 0
-                   : handle->cursor->read(records.data(), req.count);
+                   : handle->cursor->read(records.data(), records.size());
     decode_t.stop();
     beginResponse(frame, req.op, Wire::kOk, req.request_id);
     putU64(frame, actual);
     putU32(frame, static_cast<uint32_t>(n));
-    frame.reserve(frame.size() + 8 * n);
-    for (size_t i = 0; i < n; ++i)
-        putU64(frame, records[i]);
+    putU64s(frame, records.data(), n);
     finishResponse(frame);
     counters_.records_served.fetch_add(n, std::memory_order_relaxed);
 }
@@ -798,9 +822,7 @@ TraceServer::executeReadRange(Session &session, const Request &req,
     }
     beginResponse(frame, req.op, Wire::kOk, req.request_id);
     putU32(frame, static_cast<uint32_t>(records.size()));
-    frame.reserve(frame.size() + 8 * records.size());
-    for (uint64_t v : records)
-        putU64(frame, v);
+    putU64s(frame, records.data(), records.size());
     finishResponse(frame);
     counters_.records_served.fetch_add(records.size(),
                                        std::memory_order_relaxed);
@@ -829,21 +851,14 @@ TraceServer::executeClose(Session &session, const Request &req,
 }
 
 void
-TraceServer::finishHeavy(const std::shared_ptr<Session> &session,
-                         uint64_t records)
+TraceServer::finishHeavy(Session &session, uint64_t records)
 {
-    {
-        std::lock_guard<std::mutex> lock(session->adm_mu);
-        session->inflight -= 1;
-        session->inflight_records -= records;
-        // Fast path: admit this session's own parked work without an
-        // I/O-thread round trip.
-        admitLocked(*session);
-    }
-    // The freed channel slot may unblock *other* sessions parked on a
-    // full queue, and a shrunken pending queue may resume a paused
-    // socket — both decisions belong to the I/O thread.
-    wakeIo();
+    std::lock_guard<std::mutex> lock(session.adm_mu);
+    session.inflight -= 1;
+    session.inflight_records -= records;
+    // Fast path: admit this session's own parked work without an
+    // I/O-thread round trip.
+    admitLocked(session);
 }
 
 void
@@ -967,6 +982,7 @@ TraceServer::statText() const
                    cache.capacityBytes());
         appendStat(out, prefix + ".cache.hits", cs.hits);
         appendStat(out, prefix + ".cache.misses", cs.misses);
+        appendStat(out, prefix + ".cache.coalesced", cs.coalesced);
         appendStat(out, prefix + ".cache.insertions", cs.insertions);
         appendStat(out, prefix + ".cache.evictions", cs.evictions);
         appendStat(out, prefix + ".cache.bytes", cs.bytes);

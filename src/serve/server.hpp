@@ -38,8 +38,9 @@
  *
  * Thread-safety: the I/O thread owns session read buffers and the
  * poll set; admission state is mutex-guarded per session (workers
- * release budget on completion and wake the I/O thread through a
- * self-pipe to admit more); socket writes serialize on a per-session
+ * release budget on completion, admit their own session's parked
+ * work, and wake the I/O thread through a self-pipe only when other
+ * work is parked on it); socket writes serialize on a per-session
  * mutex; handle tables are mutex-guarded per session with per-handle
  * locks around cursor use. A session is reference-counted by its
  * in-flight jobs, so teardown never races an executing request — the
@@ -265,8 +266,10 @@ class TraceServer
                           std::vector<uint8_t> &frame);
     void executeClose(Session &session, const Request &req,
                       std::vector<uint8_t> &frame);
-    void finishHeavy(const std::shared_ptr<Session> &session,
-                     uint64_t records);
+    /** Enqueue a job for @p req; on a full queue, request a wakeup
+     *  and retry once (see wake_wanted_). Requires adm_mu held. */
+    bool pushJob(Session &session, const Request &req);
+    void finishHeavy(Session &session, uint64_t records);
     void sendFrame(Session &session, const std::vector<uint8_t> &frame);
     void countRequest(Op op);
 
@@ -283,6 +286,12 @@ class TraceServer
     Socket listener_;
     // Self-pipe: workers and requestStop() nudge the poll loop.
     Socket wake_rd_, wake_wr_;
+    /** Set when admission leaves work parked on the I/O thread (a
+     *  failed tryPush, a paused socket); the next finished request
+     *  clears it and writes the self-pipe. It is set before the last
+     *  admission retry, so a wakeup is never lost, and finished
+     *  requests skip the pipe write when nothing is parked. */
+    std::atomic<bool> wake_wanted_{false};
     std::map<int, std::shared_ptr<Session>> sessions_; // io thread only
 
     // Declaration order matters: the channel must outlive the pool

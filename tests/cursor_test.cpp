@@ -16,11 +16,17 @@
  * ranges decode every covering frame exactly once, that eviction races
  * under a starved budget stay coherent (TSan again), and that a pooled
  * lossy readRange fans covering-chunk decodes onto worker threads
- * while staying record-exact.
+ * while staying record-exact. A lossy readRange restores the streaming
+ * position lazily (it decodes only its covering chunks, even after a
+ * failure, and a read retried after a failed parked interval resumes
+ * in place), and concurrent cold readers of one unit share a single
+ * decode at any budget, its failure reaching every one of them.
  */
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -776,6 +782,336 @@ INSTANTIATE_TEST_SUITE_P(
                     std::pair{size_t(4096), true},
                     std::pair{size_t(16384), false},
                     std::pair{size_t(16384), true}));
+
+// ------------------------------------------- lazy lossy restore
+
+/** @return codec block decodes one whole-chunk decode of @p id runs. */
+uint64_t
+chunkDecodes(core::MemoryStore &store, const core::AtcIndex &index,
+             uint32_t id)
+{
+    uint64_t before = CountingCodec::decodes.load();
+    core::decodeChunkPayload(index.info().pipeline, store, id);
+    return CountingCodec::decodes.load() - before;
+}
+
+/** Copy of @p store with one payload byte of chunk @p id flipped: the
+ *  frame index still scans, but decoding the chunk fails its CRC. */
+core::MemoryStore
+corruptChunk(const core::MemoryStore &store, uint32_t id)
+{
+    core::MemoryStore bad;
+    bad.createInfo()->write(store.infoBytes().data(),
+                            store.infoBytes().size());
+    for (uint32_t c = 0; c < store.chunkCount(); ++c) {
+        std::vector<uint8_t> bytes = store.chunkBytes(c);
+        if (c == id)
+            bytes[bytes.size() / 4] ^= 0x5a;
+        bad.createChunk(c)->write(bytes.data(), bytes.size());
+    }
+    return bad;
+}
+
+TEST(LossyRange, RestoresTheStreamingPositionLazily)
+{
+    registerCountingCodec();
+    auto trace = makeTrace(10'000, 37);
+    auto opt = makeOptions(core::Mode::Lossy, "countstore");
+    opt.lossy.epsilon = 0.0; // every interval is its own chunk
+    auto good = writeContainer(trace, opt);
+    auto ref = reference(good);
+    // Interval 8's chunk decodes cleanly in `good`, fails in `bad`.
+    auto bad = corruptChunk(good, 8);
+
+    for (bool corrupt : {false, true}) {
+        core::MemoryStore &store = corrupt ? bad : good;
+        core::IndexOptions iopt;
+        iopt.cache_bytes = 0; // every chunk load is a decode
+        auto opened = core::AtcIndex::open(store, iopt);
+        ASSERT_TRUE(opened.ok()) << opened.status().message();
+        auto index = opened.value();
+        const auto &records = index->info().records;
+        ASSERT_EQ(records.size(), 10u);
+        uint64_t covering = chunkDecodes(good, *index, records[6].chunk_id);
+
+        // Both cursors stop mid-interval 2; only `cursor` runs a range.
+        auto cursor = index->cursor();
+        auto twin = index->cursor();
+        uint64_t probe[7], twin_probe[7];
+        ASSERT_TRUE(cursor->seek(2500).ok());
+        ASSERT_TRUE(twin->seek(2500).ok());
+        ASSERT_EQ(cursor->read(probe, 7), 7u);
+        ASSERT_EQ(twin->read(twin_probe, 7), 7u);
+
+        std::vector<uint64_t> out;
+        CountingCodec::decodes = 0;
+        if (corrupt) {
+            // Intervals 7..8: interval 8's chunk fails mid-range.
+            EXPECT_FALSE(cursor->readRange(7100, 8900, out).ok());
+        } else {
+            // Interval 6 only: its chunk is the one decode, with no
+            // second decode of interval 2's chunk to restore the
+            // position the next request may never use.
+            ASSERT_TRUE(cursor->readRange(6100, 6900, out).ok());
+            ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                                   ref.begin() + 6100));
+            EXPECT_EQ(CountingCodec::decodes.load(), covering);
+        }
+
+        // Streaming resumes exactly as if the range never ran.
+        EXPECT_EQ(cursor->tell(), twin->tell()) << corrupt;
+        std::vector<uint64_t> got(1500), want(1500);
+        ASSERT_EQ(cursor->read(got.data(), got.size()), got.size());
+        ASSERT_EQ(twin->read(want.data(), want.size()), want.size());
+        EXPECT_EQ(got, want) << corrupt;
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), ref.begin() + 2007));
+        EXPECT_EQ(cursor->tell(), twin->tell()) << corrupt;
+    }
+}
+
+/** Store reading its chunks from @p good, or from @p bad while
+ *  `corrupt` is set: a chunk that fails once and then heals. */
+class SwitchStore : public core::ChunkStore
+{
+  public:
+    SwitchStore(core::MemoryStore &good, core::MemoryStore &bad)
+        : good_(good), bad_(bad)
+    {}
+
+    std::unique_ptr<util::ByteSink>
+    createChunk(uint32_t) override
+    {
+        util::raise("read-only store");
+    }
+    std::unique_ptr<util::ByteSource>
+    openChunk(uint32_t id) override
+    {
+        return (corrupt ? bad_ : good_).openChunk(id);
+    }
+    std::unique_ptr<util::ByteSink>
+    createInfo() override
+    {
+        util::raise("read-only store");
+    }
+    std::unique_ptr<util::ByteSource>
+    openInfo() override
+    {
+        return good_.openInfo();
+    }
+    uint64_t totalBytes() const override { return good_.totalBytes(); }
+
+    bool corrupt = false;
+
+  private:
+    core::MemoryStore &good_;
+    core::MemoryStore &bad_;
+};
+
+TEST(LossyRange, ReadRetriedAfterAFailedParkedIntervalResumesInPlace)
+{
+    registerCountingCodec();
+    // The last interval (9000..9300) is shorter than the skip below,
+    // so resuming in the wrong interval would also read past it.
+    auto trace = makeTrace(9'300, 39);
+    auto opt = makeOptions(core::Mode::Lossy, "countstore");
+    opt.lossy.epsilon = 0.0;
+    auto good = writeContainer(trace, opt);
+    auto ref = reference(good);
+    uint32_t parked_chunk;
+    {
+        auto opened = core::AtcIndex::open(good);
+        ASSERT_TRUE(opened.ok()) << opened.status().message();
+        ASSERT_EQ(opened.value()->info().records.size(), 10u);
+        parked_chunk = opened.value()->info().records[8].chunk_id;
+    }
+    auto bad = corruptChunk(good, parked_chunk);
+    SwitchStore store(good, bad);
+
+    core::IndexOptions iopt;
+    iopt.cache_bytes = 0; // the parked interval's chunk is reloaded
+    auto opened = core::AtcIndex::open(store, iopt);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    auto index = opened.value();
+
+    // Both cursors stop 500 records into interval 8; `cursor` then
+    // runs a range elsewhere, which parks it there with a skip.
+    auto cursor = index->cursor();
+    auto twin = index->cursor();
+    std::vector<uint64_t> head(500);
+    ASSERT_TRUE(cursor->seek(8000).ok());
+    ASSERT_TRUE(twin->seek(8000).ok());
+    ASSERT_EQ(cursor->read(head.data(), head.size()), head.size());
+    ASSERT_EQ(twin->read(head.data(), head.size()), head.size());
+    std::vector<uint64_t> out;
+    ASSERT_TRUE(cursor->readRange(3100, 3900, out).ok());
+
+    // Regenerating the parked interval fails its CRC; the retry, with
+    // the chunk readable again, resumes where the twin stands.
+    std::vector<uint64_t> got(1000), want(1000);
+    store.corrupt = true;
+    EXPECT_THROW(cursor->read(got.data(), got.size()), util::Error);
+    EXPECT_EQ(cursor->tell(), twin->tell());
+    store.corrupt = false;
+    size_t n = cursor->read(got.data(), got.size());
+    ASSERT_EQ(n, 800u);
+    ASSERT_EQ(twin->read(want.data(), want.size()), n);
+    EXPECT_TRUE(std::equal(got.begin(), got.begin() + n, want.begin()));
+    EXPECT_TRUE(std::equal(got.begin(), got.begin() + n,
+                           ref.begin() + 8500));
+    EXPECT_EQ(cursor->tell(), twin->tell());
+    EXPECT_EQ(cursor->tell(), 9300u);
+}
+
+// --------------------------------------------- single-flight decodes
+
+/** Store codec counting block decodes; while sleep_ms is set each
+ *  decode sleeps, so concurrent readers of one cold unit all arrive
+ *  while its decode is in flight, and while fail is set each decode
+ *  raises as a corrupt frame would. */
+class SleepyCountingCodec : public comp::StoreCodec
+{
+  public:
+    std::string name() const override { return "sleepycount"; }
+
+    void
+    decompressBlock(util::ByteSource &in, size_t raw_size,
+                    std::vector<uint8_t> &out) const override
+    {
+        ++decodes;
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(sleep_ms.load()));
+        if (fail.load())
+            util::raise("corrupt block (injected)");
+        comp::StoreCodec::decompressBlock(in, raw_size, out);
+    }
+
+    static std::atomic<uint64_t> decodes;
+    static std::atomic<int> sleep_ms;
+    static std::atomic<bool> fail;
+};
+
+std::atomic<uint64_t> SleepyCountingCodec::decodes{0};
+std::atomic<int> SleepyCountingCodec::sleep_ms{0};
+std::atomic<bool> SleepyCountingCodec::fail{false};
+
+void
+registerSleepyCountingCodec()
+{
+    static bool once = [] {
+        comp::CodecRegistry::instance().add(
+            "sleepycount", [](const comp::CodecSpec &)
+                -> util::StatusOr<std::shared_ptr<const comp::Codec>> {
+                return std::shared_ptr<const comp::Codec>(
+                    std::make_shared<SleepyCountingCodec>());
+            });
+        return true;
+    }();
+    (void)once;
+}
+
+class SingleFlight
+    : public testing::TestWithParam<std::tuple<core::Mode, size_t>>
+{
+};
+
+TEST_P(SingleFlight, ConcurrentColdReadersShareOneDecode)
+{
+    registerSleepyCountingCodec();
+    using Codec = SleepyCountingCodec;
+    auto [mode, budget] = GetParam();
+    auto trace = makeTrace(6'000, 38);
+    auto opt = makeOptions(mode, "sleepycount");
+    opt.lossy.epsilon = 0.0;
+    auto store = writeContainer(trace, opt);
+    auto ref = reference(store);
+
+    core::IndexOptions iopt;
+    iopt.cache_bytes = budget;
+    auto opened = core::AtcIndex::open(store, iopt);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    auto index = opened.value();
+
+    // The unit: transform buffer 3 (records 2331..3108) or the chunk
+    // of interval 3 (records 3000..4000); the range lies inside it.
+    bool lossless = mode == core::Mode::Lossless;
+    uint64_t begin = lossless ? 3 * 777 + 10 : 3010;
+    uint64_t end = lossless ? 4 * 777 - 10 : 3990;
+    uint64_t unit_decodes;
+    if (lossless) {
+        unit_decodes = coveringFrames(*index, {3});
+    } else {
+        uint64_t before = Codec::decodes.load();
+        core::decodeChunkPayload(index->info().pipeline, store,
+                                 index->info().records[3].chunk_id);
+        unit_decodes = Codec::decodes.load() - before;
+    }
+
+    constexpr int kThreads = 8;
+    std::vector<std::unique_ptr<core::AtcCursor>> cursors;
+    for (int t = 0; t < kThreads; ++t)
+        cursors.push_back(index->cursor());
+    auto race = [&](std::vector<util::Status> &status,
+                    std::vector<std::vector<uint64_t>> &outs) {
+        std::barrier sync(kThreads);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                sync.arrive_and_wait();
+                status[t] = cursors[t]->readRange(begin, end, outs[t]);
+            });
+        for (auto &th : threads)
+            th.join();
+    };
+    std::vector<util::Status> status(kThreads);
+    std::vector<std::vector<uint64_t>> outs(kThreads);
+
+    // A failing decode reaches every reader and leaves no entry: a
+    // retry decodes afresh instead of hanging or replaying the error.
+    Codec::sleep_ms = 50;
+    Codec::fail = true;
+    Codec::decodes = 0;
+    race(status, outs);
+    EXPECT_EQ(Codec::decodes.load(), 1u) << "one shared failed attempt";
+    for (const util::Status &st : status) {
+        ASSERT_FALSE(st.ok());
+        EXPECT_NE(st.message().find("injected"), std::string::npos)
+            << st.message();
+    }
+    std::vector<uint64_t> out;
+    EXPECT_FALSE(cursors[0]->readRange(begin, end, out).ok());
+    EXPECT_EQ(Codec::decodes.load(), 2u) << "the retry must decode again";
+    Codec::fail = false;
+    ASSERT_TRUE(cursors[0]->readRange(begin, end, out).ok());
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), ref.begin() + begin));
+    EXPECT_EQ(Codec::decodes.load(), 2u + unit_decodes);
+
+    // A cold unit read by all 8 at once decodes exactly once.
+    auto fresh = core::AtcIndex::open(store, iopt);
+    ASSERT_TRUE(fresh.ok());
+    index = fresh.value();
+    cursors.clear();
+    for (int t = 0; t < kThreads; ++t)
+        cursors.push_back(index->cursor());
+    Codec::decodes = 0;
+    race(status, outs);
+    Codec::sleep_ms = 0;
+    EXPECT_EQ(Codec::decodes.load(), unit_decodes);
+    for (int t = 0; t < kThreads; ++t) {
+        ASSERT_TRUE(status[t].ok()) << status[t].message();
+        EXPECT_EQ(outs[t], outs[0]);
+    }
+    EXPECT_TRUE(std::equal(outs[0].begin(), outs[0].end(),
+                           ref.begin() + begin));
+    EXPECT_EQ(outs[0].size(), end - begin);
+    EXPECT_GT(index->cache().stats().coalesced, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndBudgets, SingleFlight,
+    testing::Combine(testing::Values(core::Mode::Lossless,
+                                     core::Mode::Lossy),
+                     testing::Values(size_t(0), size_t(4096),
+                                     core::kDefaultDecodedCacheBytes)));
 
 // ----------------------------------------- pooled readRange (parallel)
 

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -192,6 +193,34 @@ TEST(Protocol, MalformedRequestsGetTheDocumentedVerdicts)
     EXPECT_EQ(serve::parseRequest(frame.data() + 4, frame.size() - 4,
                                   out, err),
               Wire::kBadRequest);
+}
+
+TEST(Protocol, BulkRecordCodecMatchesBytewiseU64)
+{
+    // Served records are never 8-byte aligned in a payload (SEEK
+    // records sit at payload+20, READ_RANGE records at payload+12), so
+    // the bulk codec must match putU64/getU64 at every alignment.
+    util::Rng rng(41);
+    for (size_t count : {size_t(0), size_t(1), size_t(7), size_t(1000)}) {
+        std::vector<uint64_t> recs(count);
+        for (uint64_t &v : recs)
+            v = rng.next();
+        for (size_t align = 0; align < 8; ++align) {
+            std::vector<uint8_t> bulk(align, 0xab), bytewise(align, 0xab);
+            serve::putU64s(bulk, recs.data(), count);
+            for (uint64_t v : recs)
+                serve::putU64(bytewise, v);
+            ASSERT_EQ(bulk, bytewise) << count << " records at +" << align;
+
+            std::vector<uint64_t> got(count, 0);
+            serve::getU64s(bytewise.data() + align, count, got.data());
+            for (size_t i = 0; i < count; ++i)
+                ASSERT_EQ(got[i],
+                          serve::getU64(bytewise.data() + align + 8 * i))
+                    << count << " records at +" << align;
+            EXPECT_EQ(got, recs);
+        }
+    }
 }
 
 // ------------------------------------------------- served read parity
@@ -416,24 +445,36 @@ rawFrame(uint8_t version, uint8_t opcode, uint16_t flags, uint32_t id,
     return out;
 }
 
-/** Read one response frame off @p sock; gtest-asserts on transport. */
+/** Read one whole response frame (length prefix included) off
+ *  @p sock; gtest-asserts on transport. */
+std::vector<uint8_t>
+readFrame(const serve::Socket &sock)
+{
+    std::vector<uint8_t> frame(4);
+    std::string err;
+    EXPECT_EQ(sock.readFull(frame.data(), 4, &err), serve::IoResult::kOk)
+        << err;
+    uint32_t len = serve::getU32(frame.data());
+    EXPECT_GE(len, serve::kHeaderLen);
+    EXPECT_LE(len, 1u << 20);
+    frame.resize(4 + size_t(len));
+    EXPECT_EQ(sock.readFull(frame.data() + 4, len, &err),
+              serve::IoResult::kOk)
+        << err;
+    return frame;
+}
+
+/** Read one response off @p sock and return its header fields (the
+ *  body view is cleared: the frame does not outlive this call). */
 serve::Response
 readResponse(const serve::Socket &sock)
 {
-    uint8_t len_bytes[4];
-    std::string err;
-    EXPECT_EQ(sock.readFull(len_bytes, 4, &err), serve::IoResult::kOk)
-        << err;
-    uint32_t len = serve::getU32(len_bytes);
-    EXPECT_GE(len, serve::kHeaderLen);
-    EXPECT_LE(len, 1u << 20);
-    std::vector<uint8_t> payload(len);
-    EXPECT_EQ(sock.readFull(payload.data(), len, &err),
-              serve::IoResult::kOk)
-        << err;
+    std::vector<uint8_t> frame = readFrame(sock);
     serve::Response resp;
-    EXPECT_TRUE(serve::parseResponse(payload.data(), payload.size(),
-                                     resp));
+    EXPECT_TRUE(
+        serve::parseResponse(frame.data() + 4, frame.size() - 4, resp));
+    resp.body = nullptr;
+    resp.body_len = 0;
     return resp;
 }
 
@@ -600,6 +641,7 @@ TEST(Serve, StatExposesCountersAndCacheStats)
     EXPECT_EQ(stat["server.records_served"], 4000u);
     EXPECT_EQ(stat["container.t.records"], trace.size());
     EXPECT_GE(stat["container.t.cache.insertions"], 1u);
+    EXPECT_EQ(stat.count("container.t.cache.coalesced"), 1u);
     EXPECT_GE(stat["container.t.cache.hits"], 1u)
         << "repeated range did not hit the shared cache";
 
@@ -715,6 +757,66 @@ TEST(Serve, ShutdownOpcodeStopsTheServer)
     EXPECT_FALSE(server.waitFor(0));
     ASSERT_TRUE(client.shutdownServer().ok());
     EXPECT_TRUE(server.waitFor(5000));
+    server.stop();
+}
+
+TEST(Serve, RecordResponsesMatchTheBytewiseEncoding)
+{
+    // A SEEK and a READ_RANGE read raw off a plain socket must equal,
+    // byte for byte, frames built with the per-record putU64 encoder.
+    auto trace = makeTrace(5'000, 26);
+    auto store =
+        writeContainer(trace, makeOptions(core::Mode::Lossless));
+    TraceServer server;
+    startServer(server, store);
+    std::string err;
+    auto sock = serve::connectTo("127.0.0.1", server.port());
+    ASSERT_TRUE(sock.ok());
+    auto send = [&](const std::vector<uint8_t> &frame) {
+        ASSERT_EQ(sock.value().writeFull(frame.data(), frame.size(), &err),
+                  serve::IoResult::kOk)
+            << err;
+    };
+
+    send(rawFrame(serve::kProtocolVersion, uint8_t(Op::Open), 0, 1,
+                  {1, 0, 't'}));
+    std::vector<uint8_t> opened = readFrame(sock.value());
+    ASSERT_EQ(opened.size(), 4 + serve::kHeaderLen + 14);
+    uint32_t handle = serve::getU32(opened.data() + 4 + serve::kHeaderLen);
+
+    auto bytewise = [](Op op, uint32_t id, const std::vector<uint8_t> &head,
+                       const uint64_t *recs, size_t n) {
+        std::vector<uint8_t> frame;
+        serve::beginResponse(frame, op, Wire::kOk, id);
+        frame.insert(frame.end(), head.begin(), head.end());
+        for (size_t i = 0; i < n; ++i)
+            serve::putU64(frame, recs[i]);
+        serve::finishResponse(frame);
+        return frame;
+    };
+
+    // SEEK 1000 records at 4321: only the 679 left are sent.
+    std::vector<uint8_t> body;
+    serve::putU32(body, handle);
+    serve::putU64(body, 4321);
+    serve::putU32(body, 1000);
+    send(rawFrame(serve::kProtocolVersion, uint8_t(Op::Seek), 0, 2, body));
+    std::vector<uint8_t> head;
+    serve::putU64(head, 4321);
+    serve::putU32(head, 679);
+    EXPECT_EQ(readFrame(sock.value()),
+              bytewise(Op::Seek, 2, head, trace.data() + 4321, 679));
+
+    body.clear();
+    serve::putU32(body, handle);
+    serve::putU64(body, 1234);
+    serve::putU64(body, 2345);
+    send(rawFrame(serve::kProtocolVersion, uint8_t(Op::ReadRange), 0, 3,
+                  body));
+    head.clear();
+    serve::putU32(head, 1111);
+    EXPECT_EQ(readFrame(sock.value()),
+              bytewise(Op::ReadRange, 3, head, trace.data() + 1234, 1111));
     server.stop();
 }
 
@@ -881,6 +983,86 @@ TEST(Serve, AdmissionControlBoundsAHostileScanner)
     // And an absolute sanity bound: with the scanner capped the seeker
     // competes with at most one 4000-record sleepy decode at a time.
     EXPECT_LT(capped.seek_p99_ms, 1000.0);
+}
+
+TEST(Serve, ParkedWorkIsWokenNotLeftToThePollTimeout)
+{
+    // A one-slot queue, one heavy request in flight per session and a
+    // two-request pending cap park work on the I/O thread after nearly
+    // every admission: with three sessions on two workers and sleepy
+    // uncached decodes, a finished request's own session usually finds
+    // the queue full, and its socket is paused until a finished request
+    // admits from its queue. Every such park must be woken by a
+    // finished request — a lost wakeup costs a 500 ms poll timeout, so
+    // 3 × 32 pipelined ranges would take many seconds.
+    registerSleepyCodec();
+    auto trace = makeTrace(30'000, 32);
+    auto store =
+        writeContainer(trace, makeOptions(core::Mode::Lossless, "zzz"));
+    ServeOptions opt;
+    opt.threads = 2;
+    opt.cache_bytes = 0;
+    opt.queue_capacity = 1;
+    opt.max_inflight_per_client = 1;
+    opt.max_pending_per_client = 2;
+    TraceServer server(opt);
+    startServer(server, store);
+
+    constexpr int kSessions = 3;
+    constexpr int kRanges = 32;
+    auto rangeOf = [&](int s, int i) {
+        uint64_t begin = (uint64_t(s * kRanges + i) * 2749) %
+                         (trace.size() - 600);
+        return std::pair<uint64_t, uint64_t>{begin,
+                                             begin + 1 + (i * 37) % 600};
+    };
+
+    auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> sessions;
+    for (int s = 0; s < kSessions; ++s) {
+        sessions.emplace_back([&, s] {
+            ServeClient client = connectOrDie(server);
+            auto remote = client.open("t");
+            ASSERT_TRUE(remote.ok()) << remote.status().message();
+            // Keep kWindow requests in flight: more than one executing
+            // plus two pending, so the session's socket keeps pausing
+            // while its next requests are already on the wire.
+            constexpr int kWindow = 4;
+            std::map<uint32_t, int> sent; // request id -> range number
+            int next = 0;
+            auto sendNext = [&] {
+                auto [begin, end] = rangeOf(s, next);
+                auto id = client.sendReadRange(remote.value().handle,
+                                               begin, end);
+                ASSERT_TRUE(id.ok()) << id.status().message();
+                sent[id.value()] = next++;
+            };
+            while (next < kWindow)
+                sendNext();
+            for (int k = 0; k < kRanges; ++k) {
+                serve::ClientResponse resp;
+                util::Status st = client.receive(resp);
+                ASSERT_TRUE(st.ok()) << st.message();
+                ASSERT_EQ(resp.status, Wire::kOk) << resp.error;
+                ASSERT_EQ(sent.count(resp.request_id), 1u);
+                auto [begin, end] = rangeOf(s, sent[resp.request_id]);
+                EXPECT_TRUE(resp.records.size() == end - begin &&
+                            std::equal(resp.records.begin(),
+                                       resp.records.end(),
+                                       trace.begin() + begin))
+                    << "session " << s << " range " << begin;
+                if (next < kRanges)
+                    sendNext();
+            }
+        });
+    }
+    for (auto &th : sessions)
+        th.join();
+    double secs = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    EXPECT_LT(secs, 5.0) << "parked admissions waited out poll timeouts";
+    server.stop();
 }
 
 } // namespace
